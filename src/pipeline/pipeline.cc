@@ -441,14 +441,16 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
     const double n0_re =
         cfg.with_channel ? std::pow(10.0, -cfg.snr_db / 10.0) : 0.01;
     phy::demodulate_llr_into(symbols, mod,
-                             n0_re * phy::kIqScale * phy::kIqScale, llr);
+                             n0_re * phy::kIqScale * phy::kIqScale, llr,
+                             phy::kDefaultLlrScale, cfg.isa);
   }
 
   {
     StageScope st(po, po.t.descramble, po.h.descramble, "descramble");
     phy::descramble_llr(llr, phy::pusch_c_init(cfg.rnti, 0,
                                                static_cast<int>(tti % 20),
-                                               cfg.cell_id));
+                                               cfg.cell_id),
+                        cfg.isa);
   }
 
   apply_llr_faults(cfg, tti, enc.rv, llr);
