@@ -46,7 +46,8 @@ int main() {
   };
   const ModuleIpc ipcs[] = {
       {"OFDM (rx)", ipc_of(sim::trace_ofdm(IsaLevel::kSse41, 512, 4))},
-      {"Descrambling", ipc_of(sim::trace_scramble(20000))},
+      {"Demodulation", ipc_of(sim::trace_demap(IsaLevel::kSse41, 7200))},
+      {"Descrambling", ipc_of(sim::trace_scramble(IsaLevel::kSse41, 20000))},
       {"Rate dematch", ipc_of(sim::trace_rate_match(20000))},
       {"Data arrangement",
        ipc_of(sim::trace_arrange(arrange::Method::kExtract, IsaLevel::kSse41,
@@ -85,6 +86,19 @@ int main() {
               ipc_of(sim::trace_ofdm(IsaLevel::kAvx2, 512, 4)));
   std::printf("  %-8s %8.2f\n", "avx512",
               ipc_of(sim::trace_ofdm(IsaLevel::kAvx512, 512, 4)));
+  // Receive-front SIMD tiers (demap_simd.h, descramble_simd.h): the
+  // model's cycle count per tier predicts the speed-up of each rewrite.
+  std::printf("\nReceive front port-model cycles by tier (64QAM demap of "
+              "7200 symbols, descramble of 20000 LLRs):\n");
+  std::printf("  %-8s %12s %14s\n", "tier", "demap_cyc", "descramble_cyc");
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    std::printf("  %-8s %12llu %14llu\n", isa_name(isa),
+                static_cast<unsigned long long>(
+                    psim.run(sim::trace_demap(isa, 7200)).cycles),
+                static_cast<unsigned long long>(
+                    psim.run(sim::trace_scramble(isa, 20000)).cycles));
+  }
   std::printf("paper shape: turbo decoding dominates CPU time (>50%% of the\n"
               "PHY), IPC ~2.1; DCI/rate-match/scrambling IPC near 4; OFDM ~3.8\n");
   return 0;

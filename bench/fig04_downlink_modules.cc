@@ -38,7 +38,7 @@ int main() {
   };
   const ModuleIpc ipcs[] = {
       {"OFDM (tx)", ipc_of(sim::trace_ofdm(IsaLevel::kSse41, 512, 4))},
-      {"Scrambling", ipc_of(sim::trace_scramble(20000))},
+      {"Scrambling", ipc_of(sim::trace_scramble(IsaLevel::kScalar, 20000))},
       {"Rate matching", ipc_of(sim::trace_rate_match(20000))},
       {"Turbo encoding", ipc_of(sim::trace_turbo_encode(6144))},
       {"Turbo decoding",

@@ -39,7 +39,10 @@ int main(int argc, char** argv) {
   const Row rows[] = {
       {"OFDM (rx)", trace_ofdm(IsaLevel::kSse41, 512, 4),
        bench::hw::wl_ofdm_rx(IsaLevel::kSse41, 512, 4)},
-      {"Descrambling", trace_scramble(20000), bench::hw::wl_descramble(20000)},
+      {"Demodulation", trace_demap(IsaLevel::kSse41, 7200),
+       bench::hw::wl_demap(IsaLevel::kSse41, 7200)},
+      {"Descrambling", trace_scramble(IsaLevel::kSse41, 20000),
+       bench::hw::wl_descramble(IsaLevel::kSse41, 20000)},
       {"Rate dematch", trace_rate_match(20000),
        bench::hw::wl_rate_dematch(k, 20000)},
       {"Data arrangement",
@@ -110,6 +113,21 @@ int main(int argc, char** argv) {
   bench::print_rule();
   std::printf("paper shape: fe/bs negligible for all modules; backend is the\n"
               "dominant stall; turbo decoding backend > 50%%\n");
+  // Receive-front kernels by tier: the model's cycle prediction for the
+  // scalar and SIMD demap / descramble (demap_simd.h), so the gain is
+  // visible here before a wall-clock run confirms it.
+  std::printf("\nReceive front, port-model cycles by tier "
+              "(64QAM demap of 7200 symbols, descramble of 20000 LLRs):\n");
+  std::printf("  %-8s %12s %8s %14s %8s\n", "tier", "demap_cyc", "IPC",
+              "descramble_cyc", "IPC");
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    const auto dm = psim.run(trace_demap(isa, 7200));
+    const auto ds = psim.run(trace_scramble(isa, 20000));
+    std::printf("  %-8s %12llu %8.2f %14llu %8.2f\n", isa_name(isa),
+                static_cast<unsigned long long>(dm.cycles), dm.ipc,
+                static_cast<unsigned long long>(ds.cycles), ds.ipc);
+  }
   bench::write_json(json_path,
                     std::string("{\n  \"schema\": \"vran-fig05-v1\",\n") +
                         "  \"meta\": " + bench::meta_json() + ",\n" +

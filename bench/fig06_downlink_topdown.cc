@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
       {"Turbo encoding", trace_turbo_encode(k), bench::hw::wl_turbo_encode(k)},
       {"Rate matching", trace_rate_match(20000),
        bench::hw::wl_rate_match(k, 20000)},
-      {"Scrambling", trace_scramble(20000), bench::hw::wl_scramble(20000)},
+      {"Scrambling", trace_scramble(IsaLevel::kScalar, 20000),
+       bench::hw::wl_scramble(20000)},
       {"OFDM (tx)", trace_ofdm(IsaLevel::kSse41, 512, 4),
        bench::hw::wl_ofdm_tx(IsaLevel::kSse41, 512, 4)},
       {"Turbo decoding (UE)",

@@ -1,5 +1,6 @@
 // Figure 9: SIMD submodule processing time under SSE128 / AVX256 /
-// AVX512 — measured on the real kernels, original vs APCM arrangement.
+// AVX512 — measured on the real kernels, original vs APCM arrangement,
+// plus the OFDM and receive-front (demap, descramble, CRC) kernels.
 //
 // Paper shape: the calculation submodules (gamma/alpha/beta/ext) shrink
 // as registers widen, while the original data arrangement does NOT
@@ -9,6 +10,7 @@
 
 #include "arrange/arrange.h"
 #include "bench/bench_util.h"
+#include "bench/hw_kernels.h"
 #include "common/aligned.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -206,5 +208,34 @@ int main() {
     }
   }
   bench::print_rule();
+
+  // Receive front vs register width: the max-log demap and descramble
+  // kernels (DESIGN.md §5i), byte-identical at every tier, and the
+  // packed-bit CRC, which has no ISA fork. The workloads are the port
+  // model's trace_demap / trace_scramble / trace_crc twins.
+  const auto time_us = [](const bench::hw::Workload& fn, int reps) {
+    fn();
+    Stopwatch sw;
+    for (int r = 0; r < reps; ++r) fn();
+    return sw.seconds() / reps * 1e6;
+  };
+  std::printf(
+      "\nReceive front vs register width (measured; 64QAM demap of 7200 "
+      "symbols, descramble of 20000 LLRs)\n");
+  std::printf("%-10s %12s %14s\n", "isa", "demap_us", "descramble_us");
+  bench::print_rule();
+  for (auto isa : {IsaLevel::kScalar, IsaLevel::kSse41, IsaLevel::kAvx2,
+                   IsaLevel::kAvx512}) {
+    if (isa > best_isa()) {
+      std::printf("%-10s (unavailable on this CPU)\n", isa_name(isa));
+      continue;
+    }
+    std::printf("%-10s %12.2f %14.2f\n", isa_name(isa),
+                time_us(bench::hw::wl_demap(isa, 7200), 50),
+                time_us(bench::hw::wl_descramble(isa, 20000), 200));
+  }
+  bench::print_rule();
+  std::printf("crc24b over a 6144-bit block (packed, byte table): %.2f us\n",
+              time_us(bench::hw::wl_crc(6144), 500));
   return 0;
 }

@@ -22,6 +22,7 @@
 #include "common/aligned.h"
 #include "common/cpu_features.h"
 #include "arrange/arrange.h"
+#include "phy/crc/crc.h"
 #include "obs/pmu.h"
 #include "phy/dci/dci.h"
 #include "phy/modulation/modulation.h"
@@ -213,12 +214,38 @@ inline Workload wl_scramble(std::size_t n) {
   return [=] { phy::scramble_bits(*bits, c_init); };
 }
 
-/// Descrambling over n LLRs.
-inline Workload wl_descramble(std::size_t n) {
+/// Descrambling over n LLRs at the given kernel tier.
+inline Workload wl_descramble(IsaLevel isa, std::size_t n) {
   auto llr = std::make_shared<AlignedVector<std::int16_t>>(n);
   fill_llr(*llr, 0xD5Cu);
   const std::uint32_t c_init = phy::pusch_c_init(0x1234, 0, 3, 1);
-  return [=] { phy::descramble_llr(*llr, c_init); };
+  return [=] { phy::descramble_llr(*llr, c_init, isa); };
+}
+
+/// 64QAM max-log demap of n symbols at the given kernel tier (the
+/// trace_demap twin), at the 18 dB noise level of the ul-bulk workload.
+inline Workload wl_demap(IsaLevel isa, std::size_t n) {
+  auto sym = std::make_shared<std::vector<phy::IqSample>>(n);
+  std::mt19937 rng(0xDE4u);
+  std::uniform_int_distribution<int> d(-6000, 6000);
+  for (auto& s : *sym) {
+    s.i = static_cast<std::int16_t>(d(rng));
+    s.q = static_cast<std::int16_t>(d(rng));
+  }
+  auto llr = std::make_shared<AlignedVector<std::int16_t>>(6 * n);
+  const double n0 = 0.0158 * phy::kIqScale * phy::kIqScale;
+  return [=] {
+    phy::demodulate_llr_into(*sym, phy::Modulation::k64Qam, n0, *llr,
+                             phy::kDefaultLlrScale, isa);
+  };
+}
+
+/// CRC24B over one n-bit code block (one bit per byte), as the
+/// desegmentation and turbo early-termination checks run it.
+inline Workload wl_crc(std::size_t n) {
+  auto bits = std::make_shared<std::vector<std::uint8_t>>(n);
+  fill_bits(*bits, 0xC24u);
+  return [=] { phy::crc_bits(*bits, phy::CrcType::k24B); };
 }
 
 /// Rate matching: one size-k codeword to e bits (rv 0).

@@ -4,7 +4,8 @@
 //
 // Usage: ./examples/topdown_explorer [kernel] [machine]
 //   kernel : arrange-extract | arrange-apcm | gamma | alphabeta | ext |
-//            decode | ofdm | scramble | ratematch | dci | all (default)
+//            decode | ofdm | scramble | demap | ratematch | dci | all
+//            (default)
 //   machine: wimpy | beefy (default)
 #include <cstdio>
 #include <cstring>
@@ -64,7 +65,12 @@ int main(int argc, char** argv) {
                                                     arrange::Method::kExtract)});
   }
   if (want("ofdm")) entries.push_back({"ofdm", trace_ofdm(512, 4)});
-  if (want("scramble")) entries.push_back({"scramble", trace_scramble(20000)});
+  if (want("scramble")) {
+    entries.push_back({"scramble", trace_scramble(IsaLevel::kSse41, 20000)});
+  }
+  if (want("demap")) {
+    entries.push_back({"demap", trace_demap(IsaLevel::kSse41, 7200)});
+  }
   if (want("ratematch")) {
     entries.push_back({"ratematch", trace_rate_match(20000)});
   }

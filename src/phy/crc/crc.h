@@ -6,8 +6,10 @@
 //   CRC16  — DCI payloads (masked with the RNTI)
 //   CRC8   — control information on PUSCH
 //
-// Bits travel one-per-byte (0/1) between channel-coding stages; a packed-
-// byte fast path (table-driven) serves the MAC/transport boundary.
+// Bits travel one-per-byte (0/1) between channel-coding stages. Both
+// entry points run the same constexpr tables: crc_bits first packs eight
+// such bits per byte (bitio.h pack8_msb_first) and slices four bytes per
+// step; crc_bytes takes packed bytes from the MAC/transport boundary.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +35,11 @@ constexpr int crc_length(CrcType t) {
 /// crc_length bits (e.g. CRC16-CCITT -> 0x1021).
 std::uint32_t crc_polynomial(CrcType t);
 
-/// CRC over a one-bit-per-byte message (values 0/1). All-zero initial
-/// remainder, as 36.212 specifies.
+/// CRC over a one-bit-per-byte message (bit 0 of each byte; the other
+/// bits are ignored). All-zero initial remainder, as 36.212 specifies.
 std::uint32_t crc_bits(std::span<const std::uint8_t> bits, CrcType t);
 
-/// CRC over packed bytes, MSB-first — table-driven, byte at a time.
+/// CRC over packed bytes, MSB-first, a byte per table step.
 /// Bit-identical to crc_bits(unpack_bits(bytes)).
 std::uint32_t crc_bytes(std::span<const std::uint8_t> bytes, CrcType t);
 

@@ -467,20 +467,171 @@ Trace trace_ofdm(IsaLevel isa, int nfft, int symbols) {
   return t;
 }
 
-Trace trace_scramble(std::size_t n_bits) {
+namespace {
+
+/// One word of the word-parallel Gold generator: both 31-bit registers
+/// advance 28 bits with a few shift/xor ops each, plus the buffer
+/// splice that hands out 32-bit words. Returns the word's producer.
+std::int32_t emit_gold_word(Trace& t, std::int32_t& x1, std::int32_t& x2) {
+  x1 = t.emit(UopClass::kScalarAlu, x1);
+  x1 = t.emit(UopClass::kScalarAlu, x1);
+  x2 = t.emit(UopClass::kScalarAlu, x2);
+  x2 = t.emit(UopClass::kScalarAlu, x2);
+  x2 = t.emit(UopClass::kScalarAlu, x2);
+  const std::int32_t c = t.emit(UopClass::kScalarAlu, x1, x2);
+  return t.emit(UopClass::kScalarAlu, c);
+}
+
+}  // namespace
+
+Trace trace_scramble(IsaLevel isa, std::size_t n) {
   Trace t;
-  t.register_bits = 64;
-  t.working_set_bytes = n_bits;
+  t.register_bits = register_bits(isa);
+  t.working_set_bytes = n * 2;
   std::int32_t x1 = t.emit(UopClass::kScalarAlu);
   std::int32_t x2 = t.emit(UopClass::kScalarAlu);
+  const std::uint16_t rb = static_cast<std::uint16_t>(reg_bytes(isa));
+  // Registers (or, at kScalar, lanes) that one 32-bit word covers.
+  const int per_word = isa == IsaLevel::kScalar ? 32 : 32 / lanes_of(isa);
+  for (std::size_t i = 0; i < n; i += 32) {
+    const std::int32_t w = emit_gold_word(t, x1, x2);
+    for (int r = 0; r < per_word; ++r) {
+      if (isa == IsaLevel::kScalar) {
+        // Bit test, load, negate, select, narrow store.
+        const std::int32_t bit = t.emit(UopClass::kScalarAlu, w);
+        const std::int32_t v = t.emit(UopClass::kLoad, -1, -1, 2);
+        const std::int32_t neg = t.emit(UopClass::kScalarAlu, v);
+        const std::int32_t o = t.emit(UopClass::kScalarAlu, neg, bit);
+        t.emit(UopClass::kStoreNarrow, o, -1, 2);
+      } else if (isa == IsaLevel::kAvx512) {
+        // kmov the word into a mask, one masked subs per register.
+        const std::int32_t m = t.emit(UopClass::kVecShuffle, w);
+        const std::int32_t v = t.emit(UopClass::kLoad, -1, -1, rb);
+        const std::int32_t o = t.emit(UopClass::kVecAlu, v, m);
+        t.emit(UopClass::kStore, o, -1, rb);
+      } else {
+        // Broadcast + and + cmpeq lane mask, then subs(v ^ m, m).
+        const std::int32_t b = t.emit(UopClass::kVecShuffle, w);
+        const std::int32_t a = t.emit(UopClass::kVecAlu, b);
+        const std::int32_t m = t.emit(UopClass::kVecAlu, a);
+        const std::int32_t v = t.emit(UopClass::kLoad, -1, -1, rb);
+        const std::int32_t x = t.emit(UopClass::kVecAlu, v, m);
+        const std::int32_t o = t.emit(UopClass::kVecAlu, x, m);
+        t.emit(UopClass::kStore, o, -1, rb);
+      }
+    }
+  }
+  return t;
+}
+
+Trace trace_crc(std::size_t n_bits) {
+  Trace t;
+  t.register_bits = 64;
+  t.working_set_bytes = n_bits + 1024;  // message + one byte table
+  std::int32_t r = t.emit(UopClass::kScalarAlu);
   for (std::size_t i = 0; i < n_bits; i += 8) {
-    // Word-batched LFSR steps + xor with the data stream.
-    const std::int32_t d = t.emit(UopClass::kLoad, -1, -1, 1);
-    x1 = t.emit(UopClass::kScalarAlu, x1);
-    x2 = t.emit(UopClass::kScalarAlu, x2);
-    const std::int32_t c = t.emit(UopClass::kScalarAlu, x1, x2);
-    const std::int32_t o = t.emit(UopClass::kScalarAlu, d, c);
-    t.emit(UopClass::kStoreNarrow, o, -1, 1);
+    // Pack: 64-bit load, and, multiply, shift.
+    const std::int32_t v = t.emit(UopClass::kLoad, -1, -1, 8);
+    const std::int32_t byte = t.emit(
+        UopClass::kScalarAlu,
+        t.emit(UopClass::kScalarAlu, t.emit(UopClass::kScalarAlu, v)));
+    // Table step: the remainder chain runs through the lookup.
+    const std::int32_t idx = t.emit(UopClass::kScalarAlu, r, byte);
+    const std::int32_t e = t.emit(UopClass::kLoad, idx, -1, 4);
+    const std::int32_t sh = t.emit(UopClass::kScalarAlu, r);
+    r = t.emit(UopClass::kScalarAlu, t.emit(UopClass::kScalarAlu, sh, e));
+  }
+  return t;
+}
+
+Trace trace_demap(IsaLevel isa, std::size_t n_symbols) {
+  constexpr int kBits = 3;          // 64QAM: 3 bits per axis
+  constexpr int kLevels = 1 << kBits;
+  Trace t;
+  t.register_bits = register_bits(isa);
+  t.working_set_bytes = n_symbols * (4 + 2 * 2 * kBits);
+  if (isa == IsaLevel::kScalar) {
+    // axis_llrs per axis: 8 int64 distances feeding 2 x 3 running minima,
+    // then per bit the double scale, clamp, lround and a narrow store.
+    for (std::size_t s = 0; s < 2 * n_symbols; ++s) {
+      const std::int32_t y = t.emit(UopClass::kLoad, -1, -1, 2);
+      std::int32_t mins[2 * kBits];
+      for (auto& m : mins) m = t.emit(UopClass::kScalarAlu);
+      for (int g = 0; g < kLevels; ++g) {
+        const std::int32_t diff = t.emit(UopClass::kScalarAlu, y);
+        const std::int32_t d = t.emit(UopClass::kScalarAlu, diff);
+        for (int j = 0; j < kBits; ++j) {
+          auto& m = mins[2 * j + ((g >> (kBits - 1 - j)) & 1)];
+          const std::int32_t c = t.emit(UopClass::kScalarAlu, m, d);
+          m = t.emit(UopClass::kScalarAlu, c, d);
+        }
+      }
+      for (int j = 0; j < kBits; ++j) {
+        const std::int32_t sub = t.emit(UopClass::kScalarAlu, mins[2 * j],
+                                        mins[2 * j + 1]);
+        std::int32_t x = t.emit(UopClass::kVecAlu, sub);  // cvtsi2sd
+        x = t.emit(UopClass::kVecAlu, x);                 // mul
+        x = t.emit(UopClass::kVecAlu, x);                 // max
+        x = t.emit(UopClass::kVecAlu, x);                 // min
+        // std::lround is a libm call: classify, round, convert, return.
+        t.emit(UopClass::kBranch);
+        for (int c = 0; c < 10; ++c) x = t.emit(UopClass::kScalarAlu, x);
+        t.emit(UopClass::kBranch);
+        t.emit(UopClass::kStoreNarrow, x, -1, 2);
+      }
+    }
+    return t;
+  }
+  // SIMD: one load of lanes/2 symbols, two unpacks; per half, 8 x
+  // (pmaddwd + add) distances, 3 x 6 mins, and per bit the double
+  // scale-and-round of two double registers; then 3 packs, the 3-way
+  // interleave and 3 whole-register stores.
+  const int L = lanes_of(isa);
+  const std::uint16_t rb = static_cast<std::uint16_t>(reg_bytes(isa));
+  const std::size_t block = static_cast<std::size_t>(L / 2);
+  for (std::size_t s = 0; s + block <= n_symbols; s += block) {
+    const std::int32_t v = t.emit(UopClass::kLoad, -1, -1, rb);
+    std::int32_t llr[2][kBits];
+    for (int h = 0; h < 2; ++h) {
+      const std::int32_t half = t.emit(UopClass::kVecShuffle, v);
+      std::int32_t e[kLevels];
+      for (int g = 0; g < kLevels; ++g) {
+        e[g] = t.emit(UopClass::kVecAlu,
+                      t.emit(UopClass::kVecAlu, half));
+      }
+      for (int j = 0; j < kBits; ++j) {
+        std::int32_t m[2] = {-1, -1};
+        for (int g = 0; g < kLevels; ++g) {
+          auto& mm = m[(g >> (kBits - 1 - j)) & 1];
+          mm = mm < 0 ? e[g] : t.emit(UopClass::kVecAlu, mm, e[g]);
+        }
+        const std::int32_t diff = t.emit(UopClass::kVecAlu, m[0], m[1]);
+        const std::int32_t hi = t.emit(UopClass::kVecShuffle, diff);
+        std::int32_t r[2];
+        for (int q = 0; q < 2; ++q) {
+          std::int32_t x = t.emit(UopClass::kVecAlu, q ? hi : diff);  // cvt
+          x = t.emit(UopClass::kVecAlu, x);                          // mul
+          x = t.emit(UopClass::kVecAlu, x);                          // max
+          x = t.emit(UopClass::kVecAlu, x);                          // min
+          const std::int32_t tr = t.emit(UopClass::kVecAlu, x);      // trunc
+          std::int32_t c = t.emit(UopClass::kVecAlu, x, tr);         // sub
+          c = t.emit(UopClass::kVecAlu, c);                          // x2
+          c = t.emit(UopClass::kVecAlu, c);                          // trunc
+          r[q] = t.emit(UopClass::kVecAlu, t.emit(UopClass::kVecAlu, tr, c));
+        }
+        llr[h][j] = t.emit(UopClass::kVecShuffle, r[0], r[1]);
+      }
+    }
+    std::int32_t pair[kBits];
+    for (int j = 0; j < kBits; ++j) {
+      pair[j] = t.emit(UopClass::kVecShuffle, llr[0][j], llr[1][j]);
+    }
+    for (int r = 0; r < kBits; ++r) {
+      const std::int32_t a = t.emit(UopClass::kVecShuffle, pair[r]);
+      const std::int32_t b =
+          t.emit(UopClass::kVecShuffle, a, pair[(r + 1) % kBits]);
+      t.emit(UopClass::kStore, b, -1, rb);
+    }
   }
   return t;
 }

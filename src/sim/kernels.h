@@ -74,8 +74,21 @@ Trace trace_ofdm(int nfft, int symbols);
 /// complex multiply, 2 stores per iteration). kScalar falls through to
 /// the scalar trace above.
 Trace trace_ofdm(IsaLevel isa, int nfft, int symbols);
-/// Gold-sequence scrambling (scalar LFSR + xor stream).
-Trace trace_scramble(std::size_t n_bits);
+/// LLR descrambling of n elements at a kernel tier: the word-parallel
+/// Gold generator (one 32-bit word per 32 lanes) plus, at kScalar, a
+/// per-lane test / negate / narrow store; at AVX-512 one mask register
+/// and one masked saturating subtract per register; at SSE / AVX2 a
+/// broadcast + and + cmpeq lane mask and a xor + subs flip. The
+/// transmitter's scramble_bits runs the same generator on scalar code.
+Trace trace_scramble(IsaLevel isa, std::size_t n);
+/// Max-log 64QAM demapping of n symbols at a kernel tier: the scalar
+/// per-axis int64 search with double scale and lround, or the SIMD
+/// pmaddwd distances, minima, double scale-and-round and in-register
+/// 3-way interleave of demap_{sse,avx2,avx512}.cc.
+Trace trace_demap(IsaLevel isa, std::size_t n_symbols);
+/// crc_bits over n one-bit-per-byte bits: eight bits packed per 64-bit
+/// load + multiply, then one byte-table step on the remainder chain.
+Trace trace_crc(std::size_t n_bits);
 /// Rate (de)matching: index arithmetic + narrow scatter stores.
 Trace trace_rate_match(std::size_t e_bits);
 /// DCI Viterbi decoding (scalar add-compare-select with branches).

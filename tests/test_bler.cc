@@ -26,18 +26,20 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "pipeline/pipeline.h"
 
 namespace vran {
 namespace {
 
-double measure_bler(int mcs, double snr_db, int blocks) {
+double measure_bler(int mcs, double snr_db, int blocks,
+                    IsaLevel isa = IsaLevel::kSse41) {
   pipeline::PipelineConfig cfg;
   cfg.mcs = mcs;
   cfg.max_prb = 100;
   cfg.snr_db = snr_db;
-  cfg.isa = IsaLevel::kSse41;
+  cfg.isa = isa;
   cfg.harq_max_tx = 1;
   cfg.metrics = nullptr;
   pipeline::UplinkPipeline ul(cfg);
@@ -80,6 +82,21 @@ TEST(BlerRegression, CleanAboveWaterfall) {
   EXPECT_EQ(measure_bler(4, 0.0, 50), 0.0);
   EXPECT_EQ(measure_bler(13, 7.0, 50), 0.0);
   EXPECT_EQ(measure_bler(20, 13.0, 50), 0.0);
+}
+
+TEST(BlerRegression, HighSnrDecodesAtEveryTier) {
+  // Far above the waterfall nothing may fail. Uncapped demapper LLRs
+  // (~16000 for QPSK at 30 dB) overflowed the turbo decoder's int16 path
+  // metrics: nearly every MCS-4 TB failed at 30 dB and 16QAM TBs at
+  // 35 dB, on every tier (modulation.h, kLlrMagnitudeCap).
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    if (isa > cpu_features().best()) continue;
+    EXPECT_EQ(measure_bler(4, 30.0, 20, isa), 0.0) << isa_name(isa);
+    EXPECT_EQ(measure_bler(4, 50.0, 20, isa), 0.0) << isa_name(isa);
+    EXPECT_EQ(measure_bler(13, 35.0, 20, isa), 0.0) << isa_name(isa);
+    EXPECT_EQ(measure_bler(20, 70.0, 20, isa), 0.0) << isa_name(isa);
+  }
 }
 
 }  // namespace

@@ -238,6 +238,23 @@ TEST(ModuleTraces, OfdmSimdShrinksUopCountWithWidth) {
   EXPECT_GT(td.ipc, 1.5);
 }
 
+TEST(ModuleTraces, ReceiveFrontCyclesShrinkWithWidth) {
+  // trace_demap / trace_scramble model the per-tier receive-front
+  // kernels (demap_simd.h, descramble_simd.h): every width doubling
+  // halves the register blocks, so predicted cycles fall monotonically
+  // from the scalar route to AVX-512.
+  std::uint64_t demap_prev = ~0ull, scramble_prev = ~0ull;
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    const auto dm = beefy_sim().run(trace_demap(isa, 1024));
+    const auto ds = beefy_sim().run(trace_scramble(isa, 4096));
+    EXPECT_LT(dm.cycles, demap_prev) << isa_name(isa);
+    EXPECT_LT(ds.cycles, scramble_prev) << isa_name(isa);
+    demap_prev = dm.cycles;
+    scramble_prev = ds.cycles;
+  }
+}
+
 TEST(ModuleTraces, GammaIsElementwiseFast) {
   const auto td = beefy_sim().run(trace_turbo_gamma(IsaLevel::kSse41, 6144));
   EXPECT_GT(td.ipc, 2.3);
@@ -329,7 +346,11 @@ TEST(TraceInvariants, DependenciesPointBackward) {
       trace_ofdm(IsaLevel::kSse41, 256, 1),
       trace_ofdm(IsaLevel::kAvx2, 512, 1),
       trace_ofdm(IsaLevel::kAvx512, 512, 1),
-      trace_scramble(1000),
+      trace_scramble(IsaLevel::kScalar, 1000),
+      trace_scramble(IsaLevel::kAvx512, 1000),
+      trace_demap(IsaLevel::kScalar, 100),
+      trace_demap(IsaLevel::kAvx2, 100),
+      trace_crc(1000),
       trace_rate_match(1000),
       trace_dci(27),
       trace_arrange_hypothetical(arrange::Method::kExtract, 2048, 1024),

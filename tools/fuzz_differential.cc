@@ -321,10 +321,14 @@ FuzzCase random_case(Xoshiro256& rng) {
   FuzzCase c;
   c.mcs = 3 + static_cast<int>(rng.bounded(26));  // 3..28
   const int qm = mac::mcs_entry(c.mcs).modulation_bits;
+  // QPSK and 16QAM reach well past the SNRs where uncapped demapper LLRs
+  // used to overflow the turbo metrics (modulation.h, kLlrMagnitudeCap),
+  // so the saturated-LLR region stays covered. Dumps record snr_db
+  // itself, so older reproducers replay unchanged.
   if (qm == 2) {
-    c.snr_db = 10.0 + rng.uniform() * 10.0;
+    c.snr_db = 10.0 + rng.uniform() * 25.0;
   } else if (qm == 4) {
-    c.snr_db = 16.0 + rng.uniform() * 8.0;
+    c.snr_db = 16.0 + rng.uniform() * 16.0;
   } else {
     // 64-QAM floor: 22 dB. PR 7 raised this to 23 dB to keep the
     // windowed-AVX-512 small-K waterfall defect out of the sample space;

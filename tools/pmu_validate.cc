@@ -107,8 +107,17 @@ int main(int argc, char** argv) {
     rows.push_back({"ofdm_tx", isa, trace_ofdm(isa, 512, 4),
                     bench::hw::wl_ofdm_tx(isa, 512, 4)});
   }
-  rows.push_back({"scramble", IsaLevel::kSse41, trace_scramble(20000),
-                  bench::hw::wl_scramble(20000)});
+  // Receive front per tier, scalar route included.
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    if (isa > best_isa()) continue;
+    rows.push_back({"demap", isa, trace_demap(isa, 7200),
+                    bench::hw::wl_demap(isa, 7200)});
+    rows.push_back({"descramble", isa, trace_scramble(isa, 20000),
+                    bench::hw::wl_descramble(isa, 20000)});
+  }
+  rows.push_back({"crc24b", IsaLevel::kScalar, trace_crc(6144),
+                  bench::hw::wl_crc(6144)});
   rows.push_back({"rate_match", IsaLevel::kSse41, trace_rate_match(20000),
                   bench::hw::wl_rate_match(k, 20000)});
   rows.push_back({"rate_dematch", IsaLevel::kSse41, trace_rate_match(20000),
