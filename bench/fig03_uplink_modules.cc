@@ -48,7 +48,8 @@ int main() {
       {"OFDM (rx)", ipc_of(sim::trace_ofdm(IsaLevel::kSse41, 512, 4))},
       {"Demodulation", ipc_of(sim::trace_demap(IsaLevel::kSse41, 7200))},
       {"Descrambling", ipc_of(sim::trace_scramble(IsaLevel::kSse41, 20000))},
-      {"Rate dematch", ipc_of(sim::trace_rate_match(20000))},
+      {"Rate dematch",
+       ipc_of(sim::trace_rate_dematch(IsaLevel::kSse41, k, 20000))},
       {"Data arrangement",
        ipc_of(sim::trace_arrange(arrange::Method::kExtract, IsaLevel::kSse41,
                                  arrange::Order::kCanonical, k + 4))},
@@ -98,6 +99,16 @@ int main() {
                     psim.run(sim::trace_demap(isa, 7200)).cycles),
                 static_cast<unsigned long long>(
                     psim.run(sim::trace_scramble(isa, 20000)).cycles));
+  }
+  // Rate dematching per tier (rm_simd.h): run-walk combining plus the
+  // transpose triple extraction, at the ul-bulk block geometry.
+  std::printf("\nRate dematch port-model cycles by tier (K=4160, E=7280):\n");
+  std::printf("  %-8s %12s %8s\n", "tier", "dematch_cyc", "IPC");
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    const auto r = psim.run(sim::trace_rate_dematch(isa, 4160, 7280));
+    std::printf("  %-8s %12llu %8.2f\n", isa_name(isa),
+                static_cast<unsigned long long>(r.cycles), r.ipc);
   }
   std::printf("paper shape: turbo decoding dominates CPU time (>50%% of the\n"
               "PHY), IPC ~2.1; DCI/rate-match/scrambling IPC near 4; OFDM ~3.8\n");

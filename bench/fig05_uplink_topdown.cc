@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
        bench::hw::wl_demap(IsaLevel::kSse41, 7200)},
       {"Descrambling", trace_scramble(IsaLevel::kSse41, 20000),
        bench::hw::wl_descramble(IsaLevel::kSse41, 20000)},
-      {"Rate dematch", trace_rate_match(20000),
-       bench::hw::wl_rate_dematch(k, 20000)},
+      {"Rate dematch", trace_rate_dematch(IsaLevel::kSse41, k, 20000),
+       bench::hw::wl_rate_dematch(IsaLevel::kSse41, k, 20000)},
       {"Data arrangement",
        trace_arrange(arrange::Method::kExtract, IsaLevel::kSse41,
                      arrange::Order::kCanonical, k + 4),
@@ -127,6 +127,18 @@ int main(int argc, char** argv) {
     std::printf("  %-8s %12llu %8.2f %14llu %8.2f\n", isa_name(isa),
                 static_cast<unsigned long long>(dm.cycles), dm.ipc,
                 static_cast<unsigned long long>(ds.cycles), ds.ipc);
+  }
+  // Rate dematching by tier (rm_simd.h): run-walk combining plus the
+  // transpose triple extraction, at the ul-bulk block geometry.
+  std::printf("\nRate dematch, port-model cycles by tier (K=4160, E=7280):\n");
+  std::printf("  %-8s %12s %8s %8s\n", "tier", "dematch_cyc", "IPC",
+              "backend");
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    const auto r = psim.run(trace_rate_dematch(isa, 4160, 7280));
+    std::printf("  %-8s %12llu %8.2f %7.1f%%\n", isa_name(isa),
+                static_cast<unsigned long long>(r.cycles), r.ipc,
+                100 * r.backend);
   }
   bench::write_json(json_path,
                     std::string("{\n  \"schema\": \"vran-fig05-v1\",\n") +

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
   const Row rows[] = {
       {"DCI", trace_dci(27), bench::hw::wl_dci()},
       {"Turbo encoding", trace_turbo_encode(k), bench::hw::wl_turbo_encode(k)},
-      {"Rate matching", trace_rate_match(20000),
-       bench::hw::wl_rate_match(k, 20000)},
+      {"Rate matching", trace_rate_match(IsaLevel::kSse41, k, 20000),
+       bench::hw::wl_rate_match(IsaLevel::kSse41, k, 20000)},
       {"Scrambling", trace_scramble(IsaLevel::kScalar, 20000),
        bench::hw::wl_scramble(20000)},
       {"OFDM (tx)", trace_ofdm(IsaLevel::kSse41, 512, 4),
@@ -100,6 +100,17 @@ int main(int argc, char** argv) {
   bench::print_rule();
   std::printf("paper shape: mirrors Fig. 5 — backend bound dominates the\n"
               "stalls, control-plane modules retire near the ideal rate\n");
+  // Rate matching by tier (rm_simd.h): bit collection by byte
+  // transposes plus the run-by-run copy, at the ul-bulk block geometry.
+  std::printf("\nRate matching, port-model cycles by tier (K=4160, E=7280):\n");
+  std::printf("  %-8s %12s %8s %8s\n", "tier", "match_cyc", "IPC", "backend");
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    const auto r = psim.run(trace_rate_match(isa, 4160, 7280));
+    std::printf("  %-8s %12llu %8.2f %7.1f%%\n", isa_name(isa),
+                static_cast<unsigned long long>(r.cycles), r.ipc,
+                100 * r.backend);
+  }
   bench::write_json(json_path,
                     std::string("{\n  \"schema\": \"vran-fig06-v1\",\n") +
                         "  \"meta\": " + bench::meta_json() + ",\n" +

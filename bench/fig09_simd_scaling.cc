@@ -237,5 +237,26 @@ int main() {
   bench::print_rule();
   std::printf("crc24b over a 6144-bit block (packed, byte table): %.2f us\n",
               time_us(bench::hw::wl_crc(6144), 500));
+
+  // Rate (de)matching vs register width (DESIGN.md §5j): run-walk HARQ
+  // combining plus the transpose triple extraction on the receive side,
+  // bit collection plus the run copy on the transmit side, byte-identical
+  // at every tier. The ul-bulk block geometry; the workloads are the port
+  // model's trace_rate_dematch / trace_rate_match twins.
+  std::printf(
+      "\nRate (de)matching vs register width (measured; K=4160, E=7280)\n");
+  std::printf("%-10s %12s %12s\n", "isa", "dematch_us", "match_us");
+  bench::print_rule();
+  for (auto isa : {IsaLevel::kScalar, IsaLevel::kSse41, IsaLevel::kAvx2,
+                   IsaLevel::kAvx512}) {
+    if (isa > best_isa()) {
+      std::printf("%-10s (unavailable on this CPU)\n", isa_name(isa));
+      continue;
+    }
+    std::printf("%-10s %12.2f %12.2f\n", isa_name(isa),
+                time_us(bench::hw::wl_rate_dematch(isa, 4160, 7280), 500),
+                time_us(bench::hw::wl_rate_match(isa, 4160, 7280), 500));
+  }
+  bench::print_rule();
   return 0;
 }

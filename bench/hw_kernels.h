@@ -13,6 +13,7 @@
 // not measured; measure() also runs one unmeasured warmup call).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <random>
@@ -158,7 +159,11 @@ inline Workload wl_turbo_decode_batch(IsaLevel isa, int k, int iterations,
   cfg.max_iterations = iterations;
   cfg.radix4 = radix4;
   auto dec = std::make_shared<phy::TurboBatchDecoder>(k, cfg);
-  return [=] { dec->decode_arranged(*inputs, *out_spans, *results, *force); };
+  // inputs and out_spans are views into streams and outs: the closure
+  // must own those too, or the views dangle once this factory returns.
+  return [dec, streams, inputs, outs, out_spans, results, force] {
+    dec->decode_arranged(*inputs, *out_spans, *results, *force);
+  };
 }
 
 /// Turbo encode of one size-k block.
@@ -248,19 +253,24 @@ inline Workload wl_crc(std::size_t n) {
   return [=] { phy::crc_bits(*bits, phy::CrcType::k24B); };
 }
 
-/// Rate matching: one size-k codeword to e bits (rv 0).
-inline Workload wl_rate_match(int k, int e) {
+/// Rate matching: one size-k codeword to e bits (rv 0) at the given
+/// kernel tier — bit collection into the circular buffer (the inverse
+/// sub-block transposes) plus the run-by-run copy (the
+/// sim::trace_rate_match twin).
+inline Workload wl_rate_match(IsaLevel isa, int k, int e) {
   std::vector<std::uint8_t> bits(static_cast<std::size_t>(k));
   fill_bits(bits, 0x4A7u);
   auto cw = std::make_shared<phy::TurboCodeword>(
       phy::TurboEncoder(k).encode(bits));
   auto matcher = std::make_shared<phy::RateMatcher>(k);
-  return [=] { matcher->match(*cw, e, 0); };
+  return [=] { matcher->match(*cw, e, 0, isa); };
 }
 
-/// Rate dematch: e LLRs back into the soft circular buffer, plus the
-/// triple extraction the decode path performs with it.
-inline Workload wl_rate_dematch(int k, int e) {
+/// Rate dematch at the given kernel tier: e LLRs combined into a zeroed
+/// soft circular buffer run by run, plus the transpose triple
+/// extraction the decode path performs with it (the
+/// sim::trace_rate_dematch twin).
+inline Workload wl_rate_dematch(IsaLevel isa, int k, int e) {
   auto llr = std::make_shared<AlignedVector<std::int16_t>>(
       static_cast<std::size_t>(e));
   fill_llr(*llr, 0xDE3u);
@@ -271,8 +281,8 @@ inline Workload wl_rate_dematch(int k, int e) {
       3 * (static_cast<std::size_t>(k) + phy::kTurboTail));
   return [=] {
     std::fill(w->begin(), w->end(), std::int16_t{0});
-    matcher->dematch_accumulate(*llr, 0, *w);
-    matcher->buffer_to_triples_into(*w, *triples);
+    matcher->dematch_accumulate(*llr, 0, *w, isa);
+    matcher->buffer_to_triples_into(*w, *triples, isa);
   };
 }
 

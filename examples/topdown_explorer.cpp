@@ -72,7 +72,10 @@ int main(int argc, char** argv) {
     entries.push_back({"demap", trace_demap(IsaLevel::kSse41, 7200)});
   }
   if (want("ratematch")) {
-    entries.push_back({"ratematch", trace_rate_match(20000)});
+    entries.push_back(
+        {"ratematch", trace_rate_match(IsaLevel::kSse41, k, 20000)});
+    entries.push_back(
+        {"ratedematch", trace_rate_dematch(IsaLevel::kSse41, k, 20000)});
   }
   if (want("dci")) entries.push_back({"dci", trace_dci(27)});
 

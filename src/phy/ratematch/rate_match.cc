@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/saturate.h"
+#include "phy/ratematch/rm_simd.h"
 
 namespace vran::phy {
 
@@ -55,82 +56,227 @@ SubblockMap subblock_map(int d) {
   return m;
 }
 
-RateMatcher::RateMatcher(int k) : k_(k), map_(subblock_map(k + kTurboTail)) {
-  const int kp = map_.geo.kp;
-  const int nulls = map_.geo.nulls;
-  // Flatten the circular buffer: w[j] = v0[j] for j < kp, then
-  // w[kp + 2t] = v1[t], w[kp + 2t + 1] = v2[t]. Record, for each w
-  // position, the flat d-stream index (3*pos + stream) or -1 for nulls.
-  w_src_.assign(static_cast<std::size_t>(3 * kp), -1);
-  const auto y_to_d = [nulls](int y) { return y - nulls; };  // <0 means null
-  for (int j = 0; j < kp; ++j) {
-    const int d0 = y_to_d(map_.v0_src[static_cast<std::size_t>(j)]);
-    if (d0 >= 0) w_src_[static_cast<std::size_t>(j)] = 3 * d0 + 0;
-    const int d1 = y_to_d(map_.v0_src[static_cast<std::size_t>(j)]);
-    if (d1 >= 0) w_src_[static_cast<std::size_t>(kp + 2 * j)] = 3 * d1 + 1;
-    const int d2 = y_to_d(map_.v2_src[static_cast<std::size_t>(j)]);
-    if (d2 >= 0) w_src_[static_cast<std::size_t>(kp + 2 * j + 1)] = 3 * d2 + 2;
+namespace {
+
+// Kernel dispatch. Each SIMD tier handles whole blocks and returns where
+// it stopped; the next narrower tier and then the scalar loops below
+// finish, so every tier writes the bytes the scalar loops would.
+IsaLevel clamp_isa(IsaLevel isa) { return std::min(isa, cpu_features().best()); }
+
+using AddFn = std::size_t (*)(std::int16_t*, const std::int16_t*,
+                              std::size_t);
+AddFn add_kernel(IsaLevel isa) {
+  switch (clamp_isa(isa)) {
+    case IsaLevel::kAvx512: return simd::add_sym_avx512;
+    case IsaLevel::kAvx2: return simd::add_sym_avx2;
+    case IsaLevel::kSse41: return simd::add_sym_sse;
+    case IsaLevel::kScalar: break;
   }
-  for (const auto s : w_src_) usable_ += (s >= 0);
+  return nullptr;
+}
+
+/// Calls f(buffer position, elements consumed so far, length) for each
+/// run piece of an n-element circular read that starts at buffer
+/// position `start`, wrapping from the last run back to the first.
+template <class F>
+void walk_runs(std::span<const RateMatcher::Run> runs, int start,
+               std::size_t n, F&& f) {
+  std::size_t i = 0;
+  while (i < runs.size() && runs[i].start + runs[i].len <= start) ++i;
+  if (i == runs.size()) i = 0;
+  // k0 may fall inside run i or in the null gap before it.
+  std::size_t off =
+      static_cast<std::size_t>(std::max(0, start - runs[i].start));
+  for (std::size_t used = 0; used < n;) {
+    const auto& r = runs[i];
+    const std::size_t len =
+        std::min(static_cast<std::size_t>(r.len) - off, n - used);
+    f(static_cast<std::size_t>(r.start) + off, used, len);
+    used += len;
+    off = 0;
+    i = i + 1 == runs.size() ? 0 : i + 1;
+  }
+}
+
+/// Scalar triple extraction for the slots of rows [row, R), column by
+/// column: slot c*R + r carries y = 32r + P[c] in v0 and v1 and y + 1
+/// (mod K_pi) in v2. The d2 value at y = 32 * row comes from row - 1
+/// (column 31), which the SIMD tiers have already read, so it is
+/// written here too.
+void triples_cols(const simd::RmGeometry& g, const std::int16_t* w,
+                  std::int16_t* triples, int row) {
+  const std::int16_t* pairs = w + g.kp;
+  const auto slot_rows = [&](int c, int r_begin, int r_end) {
+    const int p = kColPerm[static_cast<std::size_t>(c)];
+    for (int r = r_begin; r < r_end; ++r) {
+      const int slot = c * g.rows + r;
+      const int y = 32 * r + p;
+      if (y >= g.nulls) {
+        triples[3 * (y - g.nulls)] = w[slot];
+        triples[3 * (y - g.nulls) + 1] = pairs[2 * slot];
+      }
+      const int y2 = y + 1 == g.kp ? 0 : y + 1;
+      if (y2 >= g.nulls) triples[3 * (y2 - g.nulls) + 2] = pairs[2 * slot + 1];
+    }
+  };
+  // Rows 1 .. R-2 hold neither a null nor the wrap: no tests needed.
+  const int inner_begin = std::max(row, 1);
+  const int inner_end = std::max(inner_begin, g.rows - 1);
+  for (int c = 0; c < 32; ++c) {
+    const int p = kColPerm[static_cast<std::size_t>(c)];
+    const int base = c * g.rows;
+    for (int r = inner_begin; r < inner_end; ++r) {
+      std::int16_t* t = triples + 3 * (32 * r + p - g.nulls);
+      t[0] = w[base + r];
+      t[1] = pairs[2 * (base + r)];
+      t[5] = pairs[2 * (base + r) + 1];  // d2 of y + 1
+    }
+    if (row == 0) slot_rows(c, 0, std::min(1, g.rows));
+    slot_rows(c, inner_end, g.rows);
+  }
+  const int y = 32 * row;
+  if (row > 0 && row < g.rows && y >= g.nulls) {
+    triples[3 * (y - g.nulls) + 2] = pairs[2 * (31 * g.rows + row - 1) + 1];
+  }
+}
+
+/// Scalar bit collection for rows [r_begin, r_end): slot j = col_base[p]
+/// + r takes y = 32r + p from d0 and d1 and y + 1 (mod K_pi) from d2.
+/// Null slots get 0; no run reads them.
+void gather_rows(const simd::RmGeometry& g, const TurboCodeword& cw,
+                 std::uint8_t* w, int r_begin, int r_end) {
+  std::uint8_t* pairs = w + g.kp;
+  for (int r = r_begin; r < r_end; ++r) {
+    for (int p = 0; p < 32; ++p) {
+      const int y = 32 * r + p;
+      const int y2 = y + 1 == g.kp ? 0 : y + 1;
+      const int j = g.col_base[p] + r;
+      const auto d = static_cast<std::size_t>(y - g.nulls);
+      const auto d2 = static_cast<std::size_t>(y2 - g.nulls);
+      w[j] = y >= g.nulls ? cw.d0[d] : 0;
+      pairs[2 * j] = y >= g.nulls ? cw.d1[d] : 0;
+      pairs[2 * j + 1] = y2 >= g.nulls ? cw.d2[d2] : 0;
+    }
+  }
+}
+
+/// Null test of circular-buffer position `pos` straight from the
+/// geometry (the constructor's run scan).
+bool is_null(const SubblockGeometry& g, int pos) {
+  const int slot = pos < g.kp ? pos : (pos - g.kp) / 2;
+  const bool v2 = pos >= g.kp && (pos - g.kp) % 2 == 1;
+  const int y = 32 * (slot % g.rows) +
+                kColPerm[static_cast<std::size_t>(slot / g.rows)] + (v2 ? 1 : 0);
+  return (y == g.kp ? 0 : y) < g.nulls;
+}
+
+}  // namespace
+
+RateMatcher::RateMatcher(int k)
+    : k_(k), geo_(subblock_geometry(k + kTurboTail)) {
+  for (int c = 0; c < 32; ++c) {
+    col_base_[static_cast<std::size_t>(kColPerm[static_cast<std::size_t>(c)])] =
+        c * geo_.rows;
+  }
+  const int ncb = 3 * geo_.kp;
+  for (int pos = 0; pos < ncb;) {
+    if (is_null(geo_, pos)) {
+      ++pos;
+      continue;
+    }
+    Run r;
+    r.start = pos;
+    while (pos < ncb && !is_null(geo_, pos)) ++pos;
+    r.len = pos - r.start;
+    // At most one null cluster per column of v0 and of (v1, v2), plus
+    // the last slot: 2N + 1 <= 63 runs whatever K is.
+    if (n_runs_ == kMaxRuns) {
+      throw std::logic_error("RateMatcher: run table overflow");
+    }
+    runs_[n_runs_++] = r;
+    usable_ += r.len;
+  }
   // Always 3*(K+4) for legal K (nulls never cover a whole stream), and
-  // the wrap-loop bounds below divide by it.
+  // the repetition caps below divide by it.
   if (usable_ <= 0) {
     throw std::invalid_argument("RateMatcher: no usable buffer positions");
   }
+}
+
+simd::RmGeometry RateMatcher::kernel_geometry() const {
+  return {geo_.rows, geo_.kp, geo_.nulls, col_base_.data()};
 }
 
 int RateMatcher::buffer_size_for(int k) {
   return 3 * subblock_geometry(k + kTurboTail).kp;
 }
 
-int RateMatcher::usable_size() const { return usable_; }
-
 int RateMatcher::k0(int rv) const {
   if (rv < 0 || rv > 3) throw std::invalid_argument("rv out of range");
-  const int R = map_.geo.rows;
-  const int ncb = 3 * map_.geo.kp;
+  const int R = geo_.rows;
+  const int ncb = 3 * geo_.kp;
   return R * (2 * ((ncb + 8 * R - 1) / (8 * R)) * rv + 2);
 }
 
 std::vector<std::uint8_t> RateMatcher::match(const TurboCodeword& cw, int e,
-                                             int rv) const {
+                                             int rv, IsaLevel isa) const {
   const std::size_t d = static_cast<std::size_t>(k_) + kTurboTail;
   if (cw.d0.size() != d || cw.d1.size() != d || cw.d2.size() != d) {
     throw std::invalid_argument("RateMatcher::match: codeword size mismatch");
   }
   if (e <= 0) throw std::invalid_argument("RateMatcher::match: e <= 0");
-  // Every full circle of the wrap loop below emits exactly usable_
-  // bits, so bounding E bounds the loop. Without this, an absurd E
-  // spins ncb iterations per usable bit — and a (hypothetical) map with
-  // no usable slot would spin forever.
+  // Every circle of the run walk emits exactly usable_ bits; an absurd E
+  // would mean kMaxRepetition+ circles of copying.
   if (e > kMaxRepetition * usable_) {
     throw std::invalid_argument(
         "RateMatcher::match: e exceeds repetition cap");
   }
-
-  const int ncb = 3 * map_.geo.kp;
   const int start = k0(rv);
-  const std::int64_t max_steps =
-      static_cast<std::int64_t>(e / usable_ + 2) * ncb;
+
+  // Bit collection into the circular buffer, on the stack for every
+  // legal K (K_w <= 3 * 6176).
+  constexpr std::size_t kStackBuffer = 3 * 6176;
+  std::array<std::uint8_t, kStackBuffer> stack_buf;
+  std::vector<std::uint8_t> heap_buf;
+  std::uint8_t* w = stack_buf.data();
+  if (static_cast<std::size_t>(buffer_size()) > kStackBuffer) {
+    heap_buf.resize(static_cast<std::size_t>(buffer_size()));
+    w = heap_buf.data();
+  }
+  const simd::RmGeometry g = kernel_geometry();
+  int row = 1;
+  switch (clamp_isa(isa)) {
+    case IsaLevel::kAvx512:
+      row = simd::gather_avx512(g, cw.d0.data(), cw.d1.data(), cw.d2.data(),
+                                w, row);
+      [[fallthrough]];
+    case IsaLevel::kAvx2:
+      row = simd::gather_avx2(g, cw.d0.data(), cw.d1.data(), cw.d2.data(), w,
+                              row);
+      [[fallthrough]];
+    case IsaLevel::kSse41:
+      row = simd::gather_sse(g, cw.d0.data(), cw.d1.data(), cw.d2.data(), w,
+                             row);
+      [[fallthrough]];
+    case IsaLevel::kScalar:
+      break;
+  }
+  gather_rows(g, cw, w, 0, std::min(1, g.rows));
+  gather_rows(g, cw, w, row, g.rows);
+
   std::vector<std::uint8_t> out;
   out.reserve(static_cast<std::size_t>(e));
-  const std::uint8_t* streams[3] = {cw.d0.data(), cw.d1.data(), cw.d2.data()};
-  for (std::int64_t j = 0; static_cast<int>(out.size()) < e; ++j) {
-    if (j >= max_steps) {
-      throw std::logic_error("RateMatcher::match: wrap loop did not advance");
-    }
-    const int w = static_cast<int>((start + j) % ncb);
-    const std::int32_t src = w_src_[static_cast<std::size_t>(w)];
-    if (src < 0) continue;  // pruned null
-    out.push_back(streams[src % 3][src / 3]);
-  }
+  walk_runs(runs(), start, static_cast<std::size_t>(e),
+            [&](std::size_t pos, std::size_t, std::size_t len) {
+              out.insert(out.end(), w + pos, w + pos + len);
+            });
   return out;
 }
 
 void RateMatcher::dematch_accumulate(std::span<const std::int16_t> llr,
-                                     int rv,
-                                     std::span<std::int16_t> w_llr) const {
-  const int ncb = 3 * map_.geo.kp;
+                                     int rv, std::span<std::int16_t> w_llr,
+                                     IsaLevel isa) const {
+  const int ncb = 3 * geo_.kp;
   if (w_llr.size() != static_cast<std::size_t>(ncb)) {
     throw std::invalid_argument("dematch_accumulate: w_llr size mismatch");
   }
@@ -144,38 +290,34 @@ void RateMatcher::dematch_accumulate(std::span<const std::int16_t> llr,
         "dematch_accumulate: llr length exceeds repetition cap");
   }
   const int start = k0(rv);
-  const std::int64_t max_steps =
-      static_cast<std::int64_t>(llr.size() / static_cast<std::size_t>(usable_) +
-                                2) *
-      ncb;
-  std::size_t used = 0;
-  for (std::int64_t j = 0; used < llr.size(); ++j) {
-    if (j >= max_steps) {
-      throw std::logic_error(
-          "dematch_accumulate: wrap loop did not advance");
-    }
-    const int w = static_cast<int>((start + j) % ncb);
-    if (w_src_[static_cast<std::size_t>(w)] < 0) continue;
-    // Symmetric clamp (±32767), NOT paddsw: an accumulator pinned at
-    // INT16_MIN could never be cancelled by +32767, biasing soft
-    // decisions across retransmissions. See sat_add16_sym.
-    w_llr[static_cast<std::size_t>(w)] =
-        sat_add16_sym(w_llr[static_cast<std::size_t>(w)], llr[used++]);
-  }
+  const AddFn add = add_kernel(isa);
+  // Symmetric clamp (±32767), NOT paddsw: an accumulator pinned at
+  // INT16_MIN could never be cancelled by +32767, biasing soft decisions
+  // across retransmissions. The kernels compute it as paddsw followed by
+  // a max with -32767. A run piece never repeats a position, and the
+  // pieces go in order, so repetitions accumulate exactly as one at a
+  // time would.
+  walk_runs(runs(), start, llr.size(),
+            [&](std::size_t pos, std::size_t used, std::size_t len) {
+              std::int16_t* w = w_llr.data() + pos;
+              const std::int16_t* x = llr.data() + used;
+              std::size_t i = add != nullptr ? add(w, x, len) : 0;
+              for (; i < len; ++i) w[i] = sat_add16_sym(w[i], x[i]);
+            });
 }
 
 AlignedVector<std::int16_t> RateMatcher::buffer_to_triples(
-    std::span<const std::int16_t> w_llr) const {
+    std::span<const std::int16_t> w_llr, IsaLevel isa) const {
   const std::size_t d = static_cast<std::size_t>(k_) + kTurboTail;
   AlignedVector<std::int16_t> triples(3 * d, 0);
-  buffer_to_triples_into(w_llr, triples);
+  buffer_to_triples_into(w_llr, triples, isa);
   return triples;
 }
 
-void RateMatcher::buffer_to_triples_into(
-    std::span<const std::int16_t> w_llr,
-    std::span<std::int16_t> triples) const {
-  const int ncb = 3 * map_.geo.kp;
+void RateMatcher::buffer_to_triples_into(std::span<const std::int16_t> w_llr,
+                                         std::span<std::int16_t> triples,
+                                         IsaLevel isa) const {
+  const int ncb = 3 * geo_.kp;
   if (w_llr.size() != static_cast<std::size_t>(ncb)) {
     throw std::invalid_argument("buffer_to_triples: size mismatch");
   }
@@ -183,18 +325,29 @@ void RateMatcher::buffer_to_triples_into(
   if (triples.size() != 3 * d) {
     throw std::invalid_argument("buffer_to_triples: triples size mismatch");
   }
-  std::fill(triples.begin(), triples.end(), std::int16_t{0});
-  for (int w = 0; w < ncb; ++w) {
-    const std::int32_t src = w_src_[static_cast<std::size_t>(w)];
-    if (src >= 0) triples[static_cast<std::size_t>(src)] = w_llr[static_cast<std::size_t>(w)];
+  const simd::RmGeometry g = kernel_geometry();
+  int row = 0;
+  switch (clamp_isa(isa)) {
+    case IsaLevel::kAvx512:
+      row = simd::triples_avx512(g, w_llr.data(), triples.data(), row);
+      [[fallthrough]];
+    case IsaLevel::kAvx2:
+      row = simd::triples_avx2(g, w_llr.data(), triples.data(), row);
+      [[fallthrough]];
+    case IsaLevel::kSse41:
+      row = simd::triples_sse(g, w_llr.data(), triples.data(), row);
+      [[fallthrough]];
+    case IsaLevel::kScalar:
+      break;
   }
+  triples_cols(g, w_llr.data(), triples.data(), row);
 }
 
 AlignedVector<std::int16_t> RateMatcher::dematch(
-    std::span<const std::int16_t> llr, int rv) const {
-  AlignedVector<std::int16_t> w(static_cast<std::size_t>(3 * map_.geo.kp), 0);
-  dematch_accumulate(llr, rv, w);
-  return buffer_to_triples(w);
+    std::span<const std::int16_t> llr, int rv, IsaLevel isa) const {
+  AlignedVector<std::int16_t> w(static_cast<std::size_t>(buffer_size()), 0);
+  dematch_accumulate(llr, rv, w, isa);
+  return buffer_to_triples(w, isa);
 }
 
 }  // namespace vran::phy

@@ -332,7 +332,8 @@ EncodedTb phy_transmit(const PreparedTb& tb, const PipelineConfig& cfg,
     const int k = tb.plan.block_size(i);
     StageScope st(po, po.t.rate_match, po.h.rate_match, "rate_match", i);
     const auto e = ws.codecs().matcher(k).match(
-        tb.codewords[static_cast<std::size_t>(i)], tb.e_per_block, rv);
+        tb.codewords[static_cast<std::size_t>(i)], tb.e_per_block, rv,
+        cfg.isa);
     coded.insert(coded.end(), e.begin(), e.end());
   }
 
@@ -493,8 +494,8 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
       const auto slice = std::span<const std::int16_t>(llr).subspan(
           bi * static_cast<std::size_t>(enc.e_per_block),
           static_cast<std::size_t>(enc.e_per_block));
-      matchers[bi]->dematch_accumulate(slice, enc.rv, w_bufs[bi]);
-      matchers[bi]->buffer_to_triples_into(w_bufs[bi], triples[bi]);
+      matchers[bi]->dematch_accumulate(slice, enc.rv, w_bufs[bi], cfg.isa);
+      matchers[bi]->buffer_to_triples_into(w_bufs[bi], triples[bi], cfg.isa);
       ob.dematch_seconds = sw.seconds();
     }
     if (po.h.rate_dematch.ns != nullptr) {

@@ -1,6 +1,8 @@
 #include "sim/kernels.h"
 
+#include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace vran::sim {
 
@@ -636,17 +638,208 @@ Trace trace_demap(IsaLevel isa, std::size_t n_symbols) {
   return t;
 }
 
-Trace trace_rate_match(std::size_t e_bits) {
+namespace {
+
+/// Sub-block geometry of a size-k block (rate_match.h): R rows, N nulls.
+struct RmShape {
+  int rows;
+  int nulls;
+};
+RmShape rm_shape(int k) {
+  const int d = k + 4;
+  const int rows = (d + 31) / 32;
+  return {rows, 32 * rows - d};
+}
+
+/// Rows a tier's blocks cover before handing the rest down: the
+/// dispatcher's cascade from `isa` to SSE, `block(W)` rows per block.
+template <class F>
+int cascade_blocks(IsaLevel isa, int row, int row_end, int (*block)(int),
+                   F&& emit_block) {
+  for (IsaLevel t = isa; t >= IsaLevel::kSse41;
+       t = static_cast<IsaLevel>(static_cast<int>(t) - 1)) {
+    const int w = lanes_of(t) / 8;
+    for (; row + block(w) <= row_end; row += block(w)) emit_block(t, w);
+  }
+  return row;
+}
+
+/// One in-lane transpose network (rm_kernels.h): n register loads and
+/// log2(n) unpack stages. Returns the n output registers.
+std::array<std::int32_t, 16> emit_transpose(Trace& t, int n,
+                                            std::uint16_t bytes) {
+  std::array<std::int32_t, 16> r{};
+  for (int i = 0; i < n; ++i) r[i] = t.emit(UopClass::kLoad, -1, -1, bytes);
+  for (int width = 1; width < n; width *= 2) {
+    std::array<std::int32_t, 16> next{};
+    for (int i = 0; i < n; ++i) {
+      next[i] = t.emit(UopClass::kVecShuffle, r[i & ~1], r[i | 1]);
+    }
+    r = next;
+  }
+  return r;
+}
+
+}  // namespace
+
+Trace trace_rate_dematch(IsaLevel isa, int k, std::size_t e) {
+  const RmShape g = rm_shape(k);
+  const std::size_t ncb = 96 * static_cast<std::size_t>(g.rows);
+  const std::size_t usable = ncb - 3 * static_cast<std::size_t>(g.nulls);
   Trace t;
-  t.register_bits = 64;
-  t.working_set_bytes = e_bits * 2;
-  std::int32_t idx = t.emit(UopClass::kScalarAlu);
-  for (std::size_t i = 0; i < e_bits; ++i) {
-    idx = t.emit(UopClass::kScalarAlu, idx);         // position update
-    const std::int32_t m = t.emit(UopClass::kLoad, idx, -1, 4);  // map lookup
-    const std::int32_t d = t.emit(UopClass::kLoad, m, -1, 2);    // llr
-    const std::int32_t a = t.emit(UopClass::kScalarAlu, d);
-    t.emit(UopClass::kStoreNarrow, a, -1, 2);
+  t.register_bits = register_bits(isa);
+  t.working_set_bytes = 2 * (e + ncb + usable);  // llr, w, triples
+  const std::uint16_t rb = static_cast<std::uint16_t>(reg_bytes(isa));
+
+  // One combining step: two loads, add, clamp, store.
+  const auto combine = [&t](UopClass alu, UopClass store,
+                            std::uint16_t bytes) {
+    const std::int32_t w = t.emit(UopClass::kLoad, -1, -1, bytes);
+    const std::int32_t x = t.emit(UopClass::kLoad, -1, -1, bytes);
+    const std::int32_t s = t.emit(alu, w, x);
+    t.emit(store, t.emit(alu, s), -1, bytes);
+  };
+  // Run walk: 2N pieces per circle, each a vector body plus a tail
+  // (masked at AVX-512, scalar on SSE / AVX2).
+  const std::size_t pieces =
+      (e * 2 * static_cast<std::size_t>(g.nulls)) / usable + 1;
+  const std::size_t per_piece = e / pieces;
+  const std::size_t L =
+      isa == IsaLevel::kScalar ? 1 : static_cast<std::size_t>(lanes_of(isa));
+  std::int32_t cursor = t.emit(UopClass::kScalarAlu);
+  for (std::size_t p = 0; p < pieces; ++p) {
+    cursor = t.emit(UopClass::kScalarAlu, cursor);  // piece bounds
+    t.emit(UopClass::kScalarAlu, cursor);
+    t.emit(UopClass::kBranch, cursor);
+    if (isa == IsaLevel::kScalar) {
+      for (std::size_t i = 0; i < per_piece; ++i) {
+        combine(UopClass::kScalarAlu, UopClass::kStoreNarrow, 2);
+      }
+      continue;
+    }
+    for (std::size_t i = 0; i < per_piece / L; ++i) {
+      combine(UopClass::kVecAlu, UopClass::kStore, rb);
+    }
+    if (isa == IsaLevel::kAvx512 && per_piece % L != 0) {
+      combine(UopClass::kVecAlu, UopClass::kStore, rb);
+    } else {
+      for (std::size_t i = 0; i < per_piece % L; ++i) {
+        combine(UopClass::kScalarAlu, UopClass::kStoreNarrow, 2);
+      }
+    }
+  }
+
+  // Triple extraction.
+  const auto emit_block = [&t](IsaLevel tier, int w) {
+    const std::uint16_t b = static_cast<std::uint16_t>(reg_bytes(tier));
+    // v0: 4 groups of 8 columns (8x8 int16); pairs: 8 groups of 4
+    // columns x 2 halves (4x4 int32); one 16-byte store per lane.
+    for (const auto& [groups, n] : {std::pair{4, 8}, std::pair{16, 4}}) {
+      for (int grp = 0; grp < groups; ++grp) {
+        const auto r = emit_transpose(t, n, b);
+        for (int i = 0; i < n; ++i) {
+          for (int q = 0; q < w; ++q) t.emit(UopClass::kStore, r[i], -1, 16);
+        }
+      }
+    }
+    for (int step = 0; step < 32; ++step) {  // 3-way interleave
+      const std::int32_t a = t.emit(UopClass::kLoad, -1, -1, b);
+      std::int32_t x[2];
+      for (auto& v : x) {
+        const std::int32_t p = t.emit(UopClass::kLoad, -1, -1, b);
+        const std::int32_t q = t.emit(UopClass::kLoad, -1, -1, b);
+        v = t.emit(UopClass::kVecAlu, p, q);  // blend
+      }
+      if (tier == IsaLevel::kAvx512) {
+        const std::int32_t m = t.emit(UopClass::kVecShuffle, x[0], x[1]);
+        const std::int32_t srcs[3] = {x[0], m, x[1]};
+        for (const auto s : srcs) {
+          const std::int32_t o = t.emit(UopClass::kVecShuffle, a, s);
+          t.emit(UopClass::kStore, t.emit(UopClass::kVecShuffle, o), -1, b);
+        }
+        continue;
+      }
+      if (tier == IsaLevel::kAvx2) {
+        x[0] = t.emit(UopClass::kVecShuffle, x[0], x[1]);
+        x[1] = t.emit(UopClass::kVecShuffle, x[0], x[1]);
+      }
+      for (int j = 0; j < 3; ++j) {
+        const std::int32_t sa = t.emit(UopClass::kVecShuffle, a);
+        const std::int32_t s0 = t.emit(UopClass::kVecShuffle, x[0]);
+        const std::int32_t s1 = t.emit(UopClass::kVecShuffle, x[1]);
+        std::int32_t o = t.emit(UopClass::kVecAlu,
+                                t.emit(UopClass::kVecAlu, sa, s0), s1);
+        if (tier == IsaLevel::kAvx2) o = t.emit(UopClass::kVecShuffle, o);
+        t.emit(UopClass::kStore, o, -1, b);
+      }
+    }
+  };
+  int row = 0;
+  if (isa != IsaLevel::kScalar) {
+    row = cascade_blocks(isa, 0, g.rows, [](int w) { return 8 * w; },
+                         emit_block);
+  }
+  // Scalar column loop: per slot three loads and three narrow stores.
+  for (int slot = 32 * row; slot < 32 * g.rows; ++slot) {
+    const std::int32_t y = t.emit(UopClass::kScalarAlu);
+    for (int s = 0; s < 3; ++s) {
+      const std::int32_t v = t.emit(UopClass::kLoad, -1, -1, 2);
+      t.emit(UopClass::kStoreNarrow, v, y, 2);
+    }
+  }
+  return t;
+}
+
+Trace trace_rate_match(IsaLevel isa, int k, std::size_t e) {
+  const RmShape g = rm_shape(k);
+  const std::size_t ncb = 96 * static_cast<std::size_t>(g.rows);
+  const std::size_t usable = ncb - 3 * static_cast<std::size_t>(g.nulls);
+  Trace t;
+  t.register_bits = register_bits(isa);
+  t.working_set_bytes = 2 * ncb + e;
+
+  // Bit collection: rows 1 .. R-2 in 16 x 16 byte transposes.
+  const auto emit_block = [&t](IsaLevel tier, int w) {
+    const std::uint16_t b = static_cast<std::uint16_t>(reg_bytes(tier));
+    const int halves = tier == IsaLevel::kSse41 ? 2 : 1;
+    for (int h = 0; h < halves; ++h) {
+      for (int s = 0; s < 3; ++s) {
+        const auto r = emit_transpose(t, 16, b);
+        // v0 stores its columns; v1 / v2 zip into pairs (2 unpacks,
+        // twice the stores), counted on the v2 pass.
+        const int stores = s == 0 ? 1 : s == 1 ? 0 : 2;
+        for (const auto v : r) {
+          const std::int32_t o =
+              s == 2 ? t.emit(UopClass::kVecShuffle, v) : v;
+          for (int i = 0; i < stores * w; ++i) {
+            t.emit(UopClass::kStore, o, -1, 16);
+          }
+        }
+      }
+    }
+  };
+  int row = 1;
+  if (isa != IsaLevel::kScalar) {
+    row = cascade_blocks(isa, 1, g.rows - 1,
+                         [](int w) { return w == 4 ? 32 : 16; }, emit_block);
+  }
+  const int scalar_rows = 1 + (g.rows - row);
+  for (int slot = 0; slot < 32 * scalar_rows; ++slot) {
+    const std::int32_t j = t.emit(UopClass::kScalarAlu);
+    for (int s = 0; s < 3; ++s) {
+      const std::int32_t v = t.emit(UopClass::kLoad, -1, -1, 1);
+      t.emit(UopClass::kStoreNarrow, v, j, 1);
+    }
+  }
+
+  // Run-by-run copy of e bytes (32-byte moves), 2N pieces per circle.
+  const std::size_t pieces =
+      (e * 2 * static_cast<std::size_t>(g.nulls)) / usable + 1;
+  for (std::size_t p = 0; p < pieces; ++p) {
+    t.emit(UopClass::kBranch, t.emit(UopClass::kScalarAlu));
+  }
+  for (std::size_t i = 0; i < e; i += 32) {
+    t.emit(UopClass::kStore, t.emit(UopClass::kLoad, -1, -1, 32), -1, 32);
   }
   return t;
 }

@@ -89,8 +89,22 @@ Trace trace_demap(IsaLevel isa, std::size_t n_symbols);
 /// crc_bits over n one-bit-per-byte bits: eight bits packed per 64-bit
 /// load + multiply, then one byte-table step on the remainder chain.
 Trace trace_crc(std::size_t n_bits);
-/// Rate (de)matching: index arithmetic + narrow scatter stores.
-Trace trace_rate_match(std::size_t e_bits);
+/// Rate dematching of e LLRs into a size-k block's soft circular buffer
+/// at a kernel tier (rm_simd.h): the run walk from k0 — per run piece a
+/// few scalar ops, then paddsw + max-with-(-32767) whole-register
+/// combining (one element at a time at kScalar, with a scalar tail per
+/// piece on SSE / AVX2 and a masked one on AVX-512) — followed by the
+/// triple extraction: per block of 8 / 16 / 32 rows an 8x8 int16 and a
+/// 4x4 int32 transpose network per 128-bit lane with 16-byte lane
+/// stores, and the 3-way interleave with whole-register stores; rows
+/// left over drop to the next narrower tier, and the last few to the
+/// scalar column loop.
+Trace trace_rate_dematch(IsaLevel isa, int k, std::size_t e);
+/// Rate matching of a size-k codeword to e bits at a kernel tier: bit
+/// collection into the circular buffer (16 x 16 byte transposes per
+/// 128-bit lane, v1 and v2 zipped into pairs; scalar rows at the edges)
+/// and the run-by-run copy of e bytes from k0.
+Trace trace_rate_match(IsaLevel isa, int k, std::size_t e);
 /// DCI Viterbi decoding (scalar add-compare-select with branches).
 Trace trace_dci(int payload_bits);
 

@@ -255,6 +255,23 @@ TEST(ModuleTraces, ReceiveFrontCyclesShrinkWithWidth) {
   }
 }
 
+TEST(ModuleTraces, RateMatchingCyclesShrinkWithWidth) {
+  // trace_rate_dematch / trace_rate_match model the per-tier run walks
+  // and sub-block transposes (rm_simd.h) at the ul-bulk block geometry:
+  // wider registers cover more rows per transpose block and more LLRs
+  // per combining op, so predicted cycles fall from scalar to AVX-512.
+  std::uint64_t dematch_prev = ~0ull, match_prev = ~0ull;
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    const auto dm = beefy_sim().run(trace_rate_dematch(isa, 4160, 7280));
+    const auto m = beefy_sim().run(trace_rate_match(isa, 4160, 7280));
+    EXPECT_LT(dm.cycles, dematch_prev) << isa_name(isa);
+    EXPECT_LT(m.cycles, match_prev) << isa_name(isa);
+    dematch_prev = dm.cycles;
+    match_prev = m.cycles;
+  }
+}
+
 TEST(ModuleTraces, GammaIsElementwiseFast) {
   const auto td = beefy_sim().run(trace_turbo_gamma(IsaLevel::kSse41, 6144));
   EXPECT_GT(td.ipc, 2.3);
@@ -351,7 +368,10 @@ TEST(TraceInvariants, DependenciesPointBackward) {
       trace_demap(IsaLevel::kScalar, 100),
       trace_demap(IsaLevel::kAvx2, 100),
       trace_crc(1000),
-      trace_rate_match(1000),
+      trace_rate_dematch(IsaLevel::kScalar, 1024, 1000),
+      trace_rate_dematch(IsaLevel::kAvx512, 4160, 7280),
+      trace_rate_match(IsaLevel::kScalar, 40, 100),
+      trace_rate_match(IsaLevel::kSse41, 4160, 7280),
       trace_dci(27),
       trace_arrange_hypothetical(arrange::Method::kExtract, 2048, 1024),
   };

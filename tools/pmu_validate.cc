@@ -118,10 +118,16 @@ int main(int argc, char** argv) {
   }
   rows.push_back({"crc24b", IsaLevel::kScalar, trace_crc(6144),
                   bench::hw::wl_crc(6144)});
-  rows.push_back({"rate_match", IsaLevel::kSse41, trace_rate_match(20000),
-                  bench::hw::wl_rate_match(k, 20000)});
-  rows.push_back({"rate_dematch", IsaLevel::kSse41, trace_rate_match(20000),
-                  bench::hw::wl_rate_dematch(k, 20000)});
+  // Rate (de)matching per tier, scalar route included, at the ul-bulk
+  // block geometry (K=4160, E=7280).
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    if (isa > best_isa()) continue;
+    rows.push_back({"rate_match", isa, trace_rate_match(isa, 4160, 7280),
+                    bench::hw::wl_rate_match(isa, 4160, 7280)});
+    rows.push_back({"rate_dematch", isa, trace_rate_dematch(isa, 4160, 7280),
+                    bench::hw::wl_rate_dematch(isa, 4160, 7280)});
+  }
   rows.push_back(
       {"dci", IsaLevel::kSse41, trace_dci(27), bench::hw::wl_dci()});
 
