@@ -13,7 +13,9 @@
 //     serially (flow pipelines are forced to one worker), the workers=1
 //     measurement is the exact decode-path number for every worker
 //     count and is what multi-worker rows report,
-//   * per-stage CPU microseconds per TTI (StageTimes delta / TTIs).
+//   * per-stage CPU microseconds per TTI ("stage.<key>_ns" histogram
+//     delta of the flows' private registry / TTIs, under the stage
+//     table's display labels).
 //
 // `--json <path>` writes the "vran-bench-e2e-v1" document that
 // tools/bench_compare gates CI on (see TESTING.md for the schema);
@@ -23,7 +25,7 @@
 //
 // `--hw` additionally runs each configuration with hardware PMU
 // attribution on (PipelineConfig::pmu): per-stage cycles/instructions
-// land in a private MetricsRegistry and the JSON gains a per-config
+// land in the same private registry and the JSON gains a per-config
 // "pmu" object with measured IPC and backend-bound per stage. On hosts
 // without perf access (or VRAN_PMU=off) the mode still runs — the
 // object reports "available": false and no stages.
@@ -78,7 +80,7 @@ struct ConfigResult {
   double p50_us = 0, p99_us = 0, mean_us = 0;
   double allocs_per_tti = 0;
   double crc_ok_rate = 0;
-  std::vector<pipeline::StageTimes::Entry> stages;  // seconds, whole run
+  std::vector<pipeline::StageEntry> stages;  // seconds, measured window
   /// Cross-TB decode-scheduler delta over the measured window: SIMD lane
   /// fill and grouping shape (see DecodeScheduler::Stats).
   pipeline::DecodeScheduler::Stats sched;
@@ -126,9 +128,9 @@ ConfigResult run_config(IsaLevel isa, int workers, int ttis, int flows,
     cfg.batch_decode = batch;
     cfg.rnti = static_cast<std::uint16_t>(0x1000 + f);
     cfg.noise_seed = 7u + static_cast<std::uint64_t>(f);
-    // Latency comes from wall-clock samples below; metrics stay off
-    // unless --hw needs the registry for PMU stage attribution.
-    cfg.metrics = hw ? &reg : nullptr;
+    // Latency comes from wall-clock samples below; the private registry
+    // holds the stage histograms (and, with --hw, the PMU counters).
+    cfg.metrics = &reg;
     cfg.pmu = hw;
     cfg.trace = nullptr;
   }
@@ -146,9 +148,8 @@ ConfigResult run_config(IsaLevel isa, int workers, int ttis, int flows,
   const int warmup = std::max(5, ttis / 20);
   for (int i = 0; i < warmup; ++i) runner.run_tti(packets, results);
 
-  const auto stages_before = runner.aggregate_times();
+  const obs::Snapshot snap_before = reg.snapshot();
   const auto sched_before = runner.decode_scheduler()->stats();
-  const obs::Snapshot pmu_before = hw ? reg.snapshot() : obs::Snapshot{};
   std::vector<double> samples(static_cast<std::size_t>(ttis));
   std::uint64_t allocs = 0, ok = 0, sent = 0;
   for (int t = 0; t < ttis; ++t) {
@@ -161,7 +162,7 @@ ConfigResult run_config(IsaLevel isa, int workers, int ttis, int flows,
       ++sent;
     }
   }
-  const auto stages_after = runner.aggregate_times();
+  const obs::Snapshot snap_after = reg.snapshot();
   {
     const auto& sa = runner.decode_scheduler()->stats();
     out.sched.blocks = sa.blocks - sched_before.blocks;
@@ -195,10 +196,10 @@ ConfigResult run_config(IsaLevel isa, int workers, int ttis, int flows,
   out.crc_ok_rate = sent == 0 ? 0 : double(ok) / double(sent);
 
   // Per-stage delta over the measured window.
-  const auto before = stages_before.entries();
-  for (auto e : stages_after.entries()) {
+  const auto before = pipeline::stage_entries(snap_before);
+  for (auto e : pipeline::stage_entries(snap_after)) {
     for (const auto& b : before) {
-      if (b.name == e.name) {
+      if (b.label == e.label) {
         e.seconds -= b.seconds;
         break;
       }
@@ -208,11 +209,10 @@ ConfigResult run_config(IsaLevel isa, int workers, int ttis, int flows,
 
   if (hw) {
     out.pmu_available = obs::pmu_available();
-    const obs::Snapshot pmu_after = reg.snapshot();
-    for (const auto& name : pmu_stage_names(pmu_after)) {
+    for (const auto& name : pmu_stage_names(snap_after)) {
       const std::string prefix = "pmu.stage." + name + ".";
-      const auto t0 = obs::pmu_reading_from(pmu_before, prefix);
-      const auto t1 = obs::pmu_reading_from(pmu_after, prefix);
+      const auto t0 = obs::pmu_reading_from(snap_before, prefix);
+      const auto t1 = obs::pmu_reading_from(snap_after, prefix);
       // A stage that first fired inside the measured window has no
       // valid baseline; its whole count is the window's.
       const auto delta = t0.valid ? t1.delta_since(t0) : t1;
@@ -249,7 +249,7 @@ std::string to_json(const std::vector<ConfigResult>& rows, int ttis,
     j += "     \"stages_us_per_tti\": {";
     for (std::size_t s = 0; s < r.stages.size(); ++s) {
       std::snprintf(buf, sizeof(buf), "%s\"%s\": %.2f",
-                    s == 0 ? "" : ", ", r.stages[s].name.c_str(),
+                    s == 0 ? "" : ", ", r.stages[s].label.c_str(),
                     r.stages[s].seconds / double(r.ttis) * 1e6);
       j += buf;
     }

@@ -23,6 +23,8 @@ int main() {
   cfg.isa = IsaLevel::kSse41;
   cfg.arrange_method = arrange::Method::kExtract;  // original mechanism
   cfg.snr_db = 16.0;  // near the BLER cliff: realistic iteration counts
+  obs::MetricsRegistry reg;  // this run's stage histograms only
+  cfg.metrics = &reg;
   pipeline::UplinkPipeline ul(cfg);
 
   net::FlowConfig fc;
@@ -33,8 +35,9 @@ int main() {
     ul.send_packet(pkt);
   }
 
+  const auto stages = pipeline::stage_entries(reg.snapshot());
   double total = 0;
-  for (const auto& e : ul.times().entries()) total += e.seconds;
+  for (const auto& e : stages) total += e.seconds;
 
   // Port-model IPC for the decode-side modules of the uplink.
   const sim::PortSimulator psim(sim::paper_machine(sim::beefy_cache()));
@@ -61,16 +64,16 @@ int main() {
 
   std::printf("%-22s %10s %8s %8s\n", "module", "cpu_s", "share%", "IPC");
   bench::print_rule();
-  for (const auto& e : ul.times().entries()) {
+  for (const auto& e : stages) {
     double ipc = 0;
     for (const auto& m : ipcs) {
-      if (e.name == m.name) ipc = m.ipc;
+      if (e.label == m.name) ipc = m.ipc;
     }
     if (ipc > 0) {
-      std::printf("%-22s %10.5f %7.1f%% %8.2f\n", e.name.c_str(), e.seconds,
+      std::printf("%-22s %10.5f %7.1f%% %8.2f\n", e.label.c_str(), e.seconds,
                   100 * e.seconds / total, ipc);
     } else {
-      std::printf("%-22s %10.5f %7.1f%%        -\n", e.name.c_str(),
+      std::printf("%-22s %10.5f %7.1f%%        -\n", e.label.c_str(),
                   e.seconds, 100 * e.seconds / total);
     }
   }

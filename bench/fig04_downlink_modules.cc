@@ -17,6 +17,8 @@ int main() {
   cfg.isa = IsaLevel::kSse41;
   cfg.arrange_method = arrange::Method::kExtract;
   cfg.snr_db = 16.0;  // near the BLER cliff: realistic iteration counts
+  obs::MetricsRegistry reg;  // this run's stage histograms only
+  cfg.metrics = &reg;
   pipeline::DownlinkPipeline dl(cfg);
 
   net::FlowConfig fc;
@@ -27,8 +29,9 @@ int main() {
     dl.send_packet(pkt);
   }
 
+  const auto stages = pipeline::stage_entries(reg.snapshot());
   double total = 0;
-  for (const auto& e : dl.times().entries()) total += e.seconds;
+  for (const auto& e : stages) total += e.seconds;
 
   const sim::PortSimulator psim(sim::paper_machine(sim::beefy_cache()));
   const auto ipc_of = [&](const sim::Trace& t) { return psim.run(t).ipc; };
@@ -50,16 +53,16 @@ int main() {
 
   std::printf("%-22s %10s %8s %8s\n", "module", "cpu_s", "share%", "IPC");
   bench::print_rule();
-  for (const auto& e : dl.times().entries()) {
+  for (const auto& e : stages) {
     double ipc = 0;
     for (const auto& m : ipcs) {
-      if (e.name == m.name) ipc = m.ipc;
+      if (e.label == m.name) ipc = m.ipc;
     }
     if (ipc > 0) {
-      std::printf("%-22s %10.5f %7.1f%% %8.2f\n", e.name.c_str(), e.seconds,
+      std::printf("%-22s %10.5f %7.1f%% %8.2f\n", e.label.c_str(), e.seconds,
                   100 * e.seconds / total, ipc);
     } else {
-      std::printf("%-22s %10.5f %7.1f%%        -\n", e.name.c_str(),
+      std::printf("%-22s %10.5f %7.1f%%        -\n", e.label.c_str(),
                   e.seconds, 100 * e.seconds / total);
     }
   }

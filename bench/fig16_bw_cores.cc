@@ -140,7 +140,6 @@ void worker_sweep(bool want_json) {
     fc.packet_bytes = 1500;
     net::PacketGenerator gen(fc);
     ul.send_packet(gen.next());  // warmup
-    ul.times().reset();
     reg.reset();
     std::uint64_t bits = 0;
     Stopwatch sw;

@@ -85,8 +85,8 @@ inline Workload wl_arrange(arrange::Method method, IsaLevel isa,
 /// Turbo decode of one size-k block: arrangement + `iterations` full MAP
 /// iterations (force_full_iterations pins the work; early exits would
 /// make the measured cycles depend on the noise draw). Counters cover
-/// decode() wholesale — arrangement included — matching how the pipeline
-/// attributes pmu.stage.turbo_decode.
+/// decode() wholesale — arrangement included — i.e. the pipeline's
+/// pmu.stage.arrange plus pmu.stage.turbo_decode.
 inline Workload wl_turbo_decode(IsaLevel isa, int k, int iterations,
                                 arrange::Method method) {
   std::vector<std::uint8_t> bits(static_cast<std::size_t>(k));

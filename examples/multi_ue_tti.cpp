@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   const int workers =
       argc > 3 ? std::atoi(argv[3]) : ThreadPool::hardware_threads();
 
+  obs::MetricsRegistry reg;  // every flow's stage histograms
   mac::RoundRobinScheduler sched(25);
   std::map<std::uint16_t, std::uint32_t> backlog;
   // Flow f serves RNTI 0x100 + f (each UE has its own RNTI/scrambling).
@@ -44,6 +45,7 @@ int main(int argc, char** argv) {
     cfg.mcs = 14 + 2 * u;
     cfg.snr_db = 24.0;
     cfg.isa = best_isa();
+    cfg.metrics = &reg;
     flow_of[rnti] = flows.size();
     flows.push_back(cfg);
 
@@ -94,15 +96,15 @@ int main(int argc, char** argv) {
   std::printf("%d TTIs in %.3f s (%.2f ms/TTI) with %d worker(s)\n", ttis,
               elapsed, 1e3 * elapsed / ttis, runner.num_workers());
 
-  // Per-stage CPU shares aggregated over every flow (merged at the
-  // caller; see StageTimes thread-safety contract).
-  const auto agg = runner.aggregate_times();
+  // Per-stage CPU shares summed over every flow (the histogram shards
+  // fold on snapshot, after the workers joined).
+  const auto stages = pipeline::stage_entries(reg.snapshot());
   double total = 0;
-  for (const auto& e : agg.entries()) total += e.seconds;
+  for (const auto& e : stages) total += e.seconds;
   if (total > 0) {
     std::printf("\naggregate CPU by stage:\n");
-    for (const auto& e : agg.entries()) {
-      std::printf("  %-18s %6.1f%%\n", e.name.c_str(),
+    for (const auto& e : stages) {
+      std::printf("  %-18s %6.1f%%\n", e.label.c_str(),
                   100.0 * e.seconds / total);
     }
   }

@@ -25,6 +25,8 @@ int main(int argc, char** argv) {
   cfg.arrange_method =
       apcm ? arrange::Method::kApcm : arrange::Method::kExtract;
   cfg.snr_db = 24.0;
+  obs::MetricsRegistry reg;  // this run's stage histograms only
+  cfg.metrics = &reg;
   pipeline::UplinkPipeline ul(cfg);
 
   // UE-side NIC emulation: pre-allocated buffers + a burst ring.
@@ -83,10 +85,11 @@ int main(int argc, char** argv) {
               delivered ? total_latency / delivered * 1e6 : 0.0);
 
   std::printf("\nper-stage CPU time:\n");
+  const auto stages = pipeline::stage_entries(reg.snapshot());
   double total = 0;
-  for (const auto& e : ul.times().entries()) total += e.seconds;
-  for (const auto& e : ul.times().entries()) {
-    std::printf("  %-20s %9.3f ms  %5.1f%%\n", e.name.c_str(),
+  for (const auto& e : stages) total += e.seconds;
+  for (const auto& e : stages) {
+    std::printf("  %-20s %9.3f ms  %5.1f%%\n", e.label.c_str(),
                 e.seconds * 1e3, 100 * e.seconds / total);
   }
   return delivered > 0 ? 0 : 1;

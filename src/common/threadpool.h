@@ -32,8 +32,8 @@
 // The pool makes no fairness or ordering promises between tasks; callers
 // that need deterministic output (everything in this library does) must
 // write to disjoint, pre-sized slots indexed by the parallel_for index —
-// never to shared accumulators. See StageTimes::merge for the timing
-// pattern.
+// never to shared accumulators. Timing goes to sharded metrics
+// histograms (obs/metrics.h), which fold on snapshot.
 #pragma once
 
 #include <atomic>

@@ -69,49 +69,4 @@ class Stopwatch {
   clock::time_point start_;
 };
 
-/// Accumulating per-module CPU-time meter used by the pipeline to produce
-/// the paper's per-module CPU-share figures (Figs. 3 and 4).
-///
-/// Thread-safety contract: an accumulator is NOT internally synchronized.
-/// Parallel code gives each worker (or each work item) its own
-/// accumulator and combines them with merge() after the join — see
-/// pipeline::StageTimes.
-class TimeAccumulator {
- public:
-  void add(double seconds) {
-    total_ += seconds;
-    ++count_;
-  }
-  /// Fold another accumulator's samples into this one (join-side
-  /// aggregation for per-worker accumulators).
-  void merge(const TimeAccumulator& other) {
-    total_ += other.total_;
-    count_ += other.count_;
-  }
-  double total_seconds() const { return total_; }
-  std::uint64_t count() const { return count_; }
-  double mean_seconds() const { return count_ ? total_ / double(count_) : 0.0; }
-  void reset() {
-    total_ = 0.0;
-    count_ = 0;
-  }
-
- private:
-  double total_ = 0.0;
-  std::uint64_t count_ = 0;
-};
-
-/// RAII scope timer feeding a TimeAccumulator.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(TimeAccumulator& acc) : acc_(acc) {}
-  ~ScopedTimer() { acc_.add(sw_.seconds()); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimeAccumulator& acc_;
-  Stopwatch sw_;
-};
-
 }  // namespace vran

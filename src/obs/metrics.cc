@@ -42,9 +42,8 @@ void Counter::reset() {
 void Histogram::record(std::uint64_t value) {
   auto& s = shards_[static_cast<std::size_t>(thread_shard())];
   const auto b = static_cast<std::size_t>(histogram_bucket(value));
-  s.buckets[b].fetch_add(1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  s.sum.fetch_add(value, std::memory_order_relaxed);
+  // min/max first, then the bucket with release: a live sampler that
+  // acquires this bucket count also sees the bounds covering it.
   std::uint64_t cur = s.min.load(std::memory_order_relaxed);
   while (value < cur &&
          !s.min.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
@@ -53,6 +52,9 @@ void Histogram::record(std::uint64_t value) {
   while (value > cur &&
          !s.max.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
   }
+  s.buckets[b].fetch_add(1, std::memory_order_release);
+  s.count.fetch_add(1, std::memory_order_relaxed);
+  s.sum.fetch_add(value, std::memory_order_relaxed);
   // Publish: a live sampler that sees the epoch unchanged across its
   // shard read knows no record completed inside the read window.
   s.epoch.fetch_add(1, std::memory_order_release);
@@ -74,9 +76,11 @@ HistogramStats Histogram::fold(bool live) const {
     for (int attempt = 0; attempt < 4; ++attempt) {
       const std::uint64_t e0 = s.epoch.load(std::memory_order_acquire);
       for (int b = 0; b < kHistogramBuckets; ++b) {
+        // Acquire pairs with record()'s release: min/max loaded below
+        // cover every sample counted here.
         buckets[static_cast<std::size_t>(b)] =
             s.buckets[static_cast<std::size_t>(b)].load(
-                std::memory_order_relaxed);
+                std::memory_order_acquire);
       }
       count = s.count.load(std::memory_order_relaxed);
       sum = s.sum.load(std::memory_order_relaxed);

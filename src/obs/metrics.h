@@ -7,32 +7,32 @@
 // needs distributions (p50/p95/p99), per-worker behavior, and counters
 // that benches and examples can export without hand-rolling tables.
 //
-// Concurrency model (the StageTimes::merge discipline, generalized):
-// recording is lock-free. Every Counter/Histogram is split into
-// cache-line-padded per-thread shards; a thread records into its own
-// shard with relaxed atomics and never contends with other writers.
+// Concurrency model: recording is lock-free. Every Counter/Histogram is
+// split into cache-line-padded per-thread shards; a thread records into
+// its own shard with atomics and never contends with other writers.
 //
 // Two-tier read model:
 //
 //   * snapshot() — EXACT, requires writers to have joined first (end of
-//     a bench run, end of a TTI batch): the same merge-after-join
-//     contract as StageTimes. Debug builds assert the contract (a
-//     histogram whose folded count disagrees with its folded bucket sum
-//     was snapshot mid-write); call sample() instead if writers may
-//     still be running.
+//     a bench run, end of a TTI batch): a merge-after-join contract.
+//     Debug builds assert it (a histogram whose folded count disagrees
+//     with its folded bucket sum was snapshot mid-write); call sample()
+//     instead if writers may still be running.
 //   * sample() — LIVE, safe while writers run: every field is read with
-//     a relaxed atomic load, so sampled values are monotone in time
-//     (counters and histogram buckets only ever grow) and never torn.
-//     Histogram totals are derived from the bucket array itself — count
-//     is the fold of the sampled buckets, not the separate count field —
-//     so quantiles computed from a live sample are always internally
-//     consistent. Each histogram shard publishes an epoch that record()
-//     bumps after its field updates; sample() retries a bounded number
-//     of times until it sees a quiet epoch, which makes cross-field skew
-//     (count vs sum) rare, though a sample is still not a cross-metric
-//     atomic cut. Use SampleCursor to turn successive sample() calls
-//     into non-negative deltas (windowed rates and quantiles for live
-//     telemetry; see obs/telemetry.h).
+//     an atomic load, so sampled values are monotone in time (counters
+//     and histogram buckets only ever grow) and never torn. Histogram
+//     totals are derived from the bucket array itself — count is the fold
+//     of the sampled buckets, not the separate count field — so quantiles
+//     computed from a live sample are always internally consistent.
+//     record() publishes min/max before its bucket (release; the sampler
+//     loads buckets with acquire), so a sampled count never gets ahead of
+//     its min and max. Each histogram shard publishes an epoch that
+//     record() bumps after its field updates; sample() retries a bounded
+//     number of times until it sees a quiet epoch, which makes cross-
+//     field skew (count vs sum) rare, though a sample is still not a
+//     cross-metric atomic cut. Use SampleCursor to turn successive
+//     sample() calls into non-negative deltas (windowed rates and
+//     quantiles for live telemetry; see obs/telemetry.h).
 //
 // Registry lookups (counter()/histogram()/gauge()) take a mutex and
 // return a stable reference; hot paths look up once and keep the pointer.
@@ -120,9 +120,9 @@ struct HistogramStats {
 };
 
 /// Fixed-bucket log2 histogram of unsigned 64-bit samples (the pipeline
-/// records nanoseconds). Recording is one relaxed fetch_add per field on
-/// the caller's shard, plus one release epoch bump that publishes the
-/// record to live samplers.
+/// records nanoseconds). Recording is one fetch_add per field on the
+/// caller's shard (release on the bucket, relaxed otherwise), plus one
+/// release epoch bump that publishes the record to live samplers.
 class Histogram {
  public:
   void record(std::uint64_t value);

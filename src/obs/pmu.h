@@ -40,8 +40,7 @@
 // opened per-thread group (`pmu_thread_group()`), so each worker
 // thread's counters are attributed to that worker; PmuScope folds the
 // deltas into MetricsRegistry counters, which are per-thread-sharded and
-// fold at snapshot() — the same merge-after-join discipline as
-// StageTimes::merge.
+// fold at snapshot() — a merge-after-join discipline.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +92,7 @@ struct PmuReading {
   /// group (saturates at 0; flags are ANDed).
   PmuReading delta_since(const PmuReading& t0) const;
 
-  /// Additive fold (join-side aggregation, the StageTimes::merge shape).
+  /// Additive fold (join-side aggregation).
   /// Invalid operands contribute nothing.
   void merge(const PmuReading& other);
 };

@@ -9,7 +9,7 @@
 namespace vran::pipeline {
 
 BatchRunner::BatchRunner(Direction dir, std::vector<PipelineConfig> flow_cfgs,
-                         int num_workers, bool cross_tb_batch)
+                         int num_workers)
     : dir_(dir),
       num_workers_(num_workers < 1 ? 1 : num_workers),
       configs_(std::move(flow_cfgs)) {
@@ -24,7 +24,7 @@ BatchRunner::BatchRunner(Direction dir, std::vector<PipelineConfig> flow_cfgs,
       downlinks_.push_back(std::make_unique<DownlinkPipeline>(cfg));
     }
   }
-  if (cross_tb_batch && dir_ == Direction::kUplink) {
+  if (dir_ == Direction::kUplink) {
     sched_ = std::make_unique<DecodeScheduler>(configs_.front().metrics);
     sched_ws_ = std::make_unique<PipelineWorkspace>(
         configs_.front().codec_cache_capacity);
@@ -63,16 +63,12 @@ void BatchRunner::run_tti(
   results.resize(flows());
   for (auto& r : results) r = PacketResult{};
   Stopwatch tti_sw;
-  if (sched_ != nullptr) {
+  if (dir_ == Direction::kUplink) {
     run_tti_cross(packets, results);
   } else {
     const auto run_flow = [&](std::size_t f) {
       if (packets[f].empty()) return;  // idle flow this TTI
-      if (dir_ == Direction::kUplink) {
-        results[f] = uplinks_[f]->send_packet(packets[f]);
-      } else {
-        results[f] = downlinks_[f]->send_packet(packets[f]);
-      }
+      results[f] = downlinks_[f]->send_packet(packets[f]);
     };
     if (pool_ != nullptr && flows() > 1) {
       pool_->parallel_for(0, flows(), run_flow);
@@ -168,13 +164,6 @@ void BatchRunner::run_tti_cross(
 
 void BatchRunner::set_quality(int harq_max_tx, int max_turbo_iterations) {
   for (auto& p : uplinks_) p->set_quality(harq_max_tx, max_turbo_iterations);
-}
-
-StageTimes BatchRunner::aggregate_times() const {
-  StageTimes agg;
-  for (const auto& p : uplinks_) agg.merge(p->times());
-  for (const auto& p : downlinks_) agg.merge(p->times());
-  return agg;
 }
 
 }  // namespace vran::pipeline

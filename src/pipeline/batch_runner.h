@@ -9,28 +9,28 @@
 // Concurrency model: the runner owns one pipeline per flow and a shared
 // ThreadPool. A run_tti() call hands each flow's packet to that flow's
 // pipeline on some worker; a pipeline is touched by at most one worker
-// per TTI (flows are the parallel index), so pipelines need no internal
+// per phase (flows are the parallel index), so pipelines need no internal
 // locking. Flow pipelines are forced to num_workers = 1 — nesting
 // per-code-block workers under per-flow workers would oversubscribe the
-// cores without adding parallelism. Results and per-flow StageTimes stay
-// per-flow; aggregate_times() folds them stage-by-stage with
-// StageTimes::merge at the caller, never from workers.
+// cores without adding parallelism. Results stay per-flow; stage times
+// land in the flows' configured registries ("stage.<key>_ns").
 //
 // Determinism: every flow's pipeline consumes only its own packet and its
 // own noise stream, so results are bit-identical to driving the flows
 // sequentially, for any worker count.
 //
-// Cross-TB batched decode (uplink, default on): instead of each flow
-// decoding its own code blocks inside send_packet, the runner drives the
-// flows through the staged TTI API (pipeline.h) and funnels every active
-// flow's arranged blocks into ONE shared DecodeScheduler round per
-// transmission. Same-K blocks from different UEs then share SIMD lane
-// groups — the cross-UE aggregation of the paper's batching idea — while
-// per-flow HARQ state, noise streams and CRC semantics stay with their
-// pipelines. Because the batched kernel is bit-exact per block at every
-// width and grouping never reorders a block's own data, egress bytes and
-// HARQ counters are identical to per-TB decoding for any flow mix and
-// worker count; only the grouping (and thus throughput) changes.
+// Cross-TB batched decode (uplink): instead of each flow decoding its own
+// code blocks inside send_packet, the runner drives the flows through the
+// staged TTI API (pipeline.h) and funnels every active flow's arranged
+// blocks into ONE shared DecodeScheduler round per transmission. Same-K
+// blocks from different UEs then share SIMD lane groups — the cross-UE
+// aggregation of the paper's batching idea — while per-flow HARQ state,
+// noise streams and CRC semantics stay with their pipelines. Because the
+// batched kernel is bit-exact per block at every width and grouping never
+// reorders a block's own data, egress bytes and HARQ counters are
+// identical to per-TB decoding for any flow mix and worker count; only
+// the grouping (and thus throughput) changes. Downlink runners call each
+// flow's send_packet.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +49,8 @@ class BatchRunner {
   /// One pipeline per entry of `flow_cfgs` (a flow = one UE's RNTI,
   /// MCS, ...). `num_workers` is the TOTAL concurrency including the
   /// calling thread; 1 runs the flows sequentially on the caller.
-  /// `cross_tb_batch` enables the shared cross-UE decode scheduler for
-  /// uplink runners (see header comment); downlink always runs legacy.
   BatchRunner(Direction dir, std::vector<PipelineConfig> flow_cfgs,
-              int num_workers, bool cross_tb_batch = true);
+              int num_workers);
 
   std::size_t flows() const { return configs_.size(); }
   int num_workers() const { return num_workers_; }
@@ -80,9 +78,6 @@ class BatchRunner {
   void run_tti(const std::vector<std::vector<std::uint8_t>>& packets,
                std::vector<PacketResult>& results);
 
-  /// Per-stage CPU time summed over all flows since construction.
-  StageTimes aggregate_times() const;
-
   /// Degrade every uplink flow's quality knobs (HARQ transmission budget
   /// + turbo iteration cap) for subsequent TTIs — the deadline
   /// scheduler's ladder (see pipeline/cell_shard.h). Must be called
@@ -90,9 +85,8 @@ class BatchRunner {
   void set_quality(int harq_max_tx, int max_turbo_iterations);
 
   /// The shared cross-UE scheduler (its Stats expose lane fill and
-  /// per-K group counts); nullptr when cross-TB batching is off.
+  /// per-K group counts); nullptr for downlink runners.
   const DecodeScheduler* decode_scheduler() const { return sched_.get(); }
-  bool cross_tb_batch() const { return sched_ != nullptr; }
 
  private:
   void run_tti_cross(const std::vector<std::vector<std::uint8_t>>& packets,
@@ -105,7 +99,7 @@ class BatchRunner {
   std::vector<std::unique_ptr<DownlinkPipeline>> downlinks_;
   std::unique_ptr<ThreadPool> pool_;  ///< nullptr when num_workers <= 1
 
-  // Cross-TB batching state (uplink only; null when disabled). The
+  // Cross-TB batching state (uplink only; null for downlink). The
   // scheduler's staging and lane-group decoder caches live in a
   // runner-owned workspace so cross-flow groups never touch a single
   // flow's arena; job buffers they point INTO stay flow-owned.

@@ -17,11 +17,12 @@ constexpr std::size_t kFlowTagBytes = 2;
 
 /// Flight-recorder stage slots: the uplink chain's stages, heaviest
 /// (turbo decode) included, in pipeline order. Every flow of the cell
-/// folds into the same per-cell "stage.<name>_ns" histogram, so one
+/// folds into the same per-cell "stage.<key>_ns" histogram, so one
 /// live_sum delta per slot covers the whole cell's TTI.
-constexpr std::array<const char*, obs::kFlightStages> kFlightStageNames = {
-    "ofdm_rx",      "demodulation",   "descramble", "rate_dematch",
-    "arrange",      "turbo_decode",   "desegmentation", "gtpu"};
+constexpr std::array<Stage, obs::kFlightStages> kFlightSlots = {
+    Stage::kOfdmRx,         Stage::kDemodulation, Stage::kDescramble,
+    Stage::kRateDematch,    Stage::kArrange,      Stage::kTurboDecode,
+    Stage::kDesegmentation, Stage::kGtpu};
 
 std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> bytes) {
   for (const std::uint8_t b : bytes) {
@@ -67,8 +68,7 @@ CellShard::CellShard(CellShardConfig cfg)
     : cfg_(std::move(cfg)),
       runner_(BatchRunner::Direction::kUplink,
               shard_flow_configs(cfg_.flows, &reg_),
-              /*num_workers=*/1,  // shards are the parallel index
-              /*cross_tb_batch=*/true),
+              /*num_workers=*/1),  // shards are the parallel index
       pool_(cfg_.buffer_bytes, effective_pool_buffers(cfg_)),
       ingest_(cfg_.ring_capacity),
       // Sized to hold EVERY pool handle: the worker returns spent handles
@@ -99,22 +99,21 @@ CellShard::CellShard(CellShardConfig cfg)
     obs::FlightRecorderConfig fc = *cfg_.flight;
     fc.cell_id = cfg_.cell_id;
     fc.budget_ns = cfg_.tti_budget_ns;
-    fc.stage_names = kFlightStageNames;
-    flight_ = std::make_unique<obs::FlightRecorder>(std::move(fc));
-    for (int s = 0; s < obs::kFlightStages; ++s) {
-      const std::string name = kFlightStageNames[static_cast<std::size_t>(s)];
-      fl_stage_[static_cast<std::size_t>(s)] =
-          &reg_.histogram("stage." + name + "_ns");
-      // PMU counters exist only when the flows attribute hardware
-      // counters per stage; resolving them otherwise would export
-      // all-zero pmu.* series.
-      if (cfg_.flows.front().pmu && obs::pmu_available()) {
-        fl_pmu_cycles_.push_back(
-            &reg_.counter("pmu.stage." + name + ".cycles"));
-        fl_pmu_instr_.push_back(
-            &reg_.counter("pmu.stage." + name + ".instructions"));
+    // PMU counters exist only when the flows attribute hardware
+    // counters per stage; resolving them otherwise would export
+    // all-zero pmu.* series.
+    const bool hw = cfg_.flows.front().pmu && obs::pmu_available();
+    for (std::size_t i = 0; i < kFlightSlots.size(); ++i) {
+      const Stage s = kFlightSlots[i];
+      fc.stage_names[i] = stage_info(s).key;
+      fl_stage_[i] = &reg_.histogram(stage_histogram_name(s));
+      if (hw) {
+        const std::string pmu = stage_pmu_prefix(s);
+        fl_pmu_cycles_.push_back(&reg_.counter(pmu + "cycles"));
+        fl_pmu_instr_.push_back(&reg_.counter(pmu + "instructions"));
       }
     }
+    flight_ = std::make_unique<obs::FlightRecorder>(std::move(fc));
   }
 }
 

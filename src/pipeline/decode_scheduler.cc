@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/timer.h"
+#include "pipeline/pipeline.h"
 
 namespace vran::pipeline {
 
@@ -133,6 +134,7 @@ void DecodeScheduler::run(PipelineWorkspace& ws, ThreadPool* pool) {
     }
   }
 
+  const char* const span_name = stage_info(Stage::kTurboDecode).key;
   const auto run_unit = [&](std::size_t ui) {
     const Unit& u = units[ui];
     const auto tid = ThreadPool::current_worker_id();
@@ -140,7 +142,7 @@ void DecodeScheduler::run(PipelineWorkspace& ws, ThreadPool* pool) {
       DecodeJob& j0 = jobs_[u.members[0]];
       Stopwatch sw;
       {
-        obs::ScopedSpan span(j0.trace, "turbo_batch", j0.tti, j0.block, tid);
+        obs::ScopedSpan span(j0.trace, span_name, j0.tti, j0.block, tid);
         obs::PmuScope pmu(j0.pmu);
         u.bdec->decode_arranged(
             std::span<const phy::TurboBatchInput>(u.in),
@@ -152,7 +154,6 @@ void DecodeScheduler::run(PipelineWorkspace& ws, ThreadPool* pool) {
       const double share = sw.seconds() / static_cast<double>(u.members.size());
       for (std::size_t b = 0; b < u.members.size(); ++b) {
         const DecodeJob& j = jobs_[u.members[b]];
-        j.out->compute_seconds = share;
         j.out->crc_ok = u.res[b].crc_ok;
         j.out->iterations = u.res[b].iterations;
         if (j.turbo_ns != nullptr) j.turbo_ns->record(to_ns(share));
@@ -161,12 +162,11 @@ void DecodeScheduler::run(PipelineWorkspace& ws, ThreadPool* pool) {
       const DecodeJob& j = jobs_[u.job];
       phy::TurboDecodeResult r;
       {
-        obs::ScopedSpan span(j.trace, "turbo_block", j.tti, j.block, tid);
+        obs::ScopedSpan span(j.trace, span_name, j.tti, j.block, tid);
         obs::PmuScope pmu(j.pmu);
         r = u.wdec->decode_arranged(j.in.sys, j.in.p1, j.in.p2, j.hard,
                                     j.force_full);
       }
-      j.out->compute_seconds = r.compute_seconds;
       j.out->crc_ok = r.crc_ok;
       j.out->iterations = r.iterations;
       if (j.turbo_ns != nullptr) j.turbo_ns->record(to_ns(r.compute_seconds));

@@ -53,7 +53,6 @@ namespace vran::pipeline {
 /// Where one job's decode lands: filled by the scheduler, read by the
 /// submitting pipeline's desegmentation phase.
 struct DecodeOutcome {
-  double compute_seconds = 0;  ///< this block's share of its unit's wall time
   bool crc_ok = false;
   int iterations = 0;
 };
@@ -76,9 +75,10 @@ struct DecodeJob {
   std::span<std::uint8_t> hard;  ///< K hard decisions out
   DecodeOutcome* out = nullptr;
 
-  // Observability plumbing (the submitting flow's handles; a batched
-  // group records its span/PMU scope under its first job's identity and
-  // its per-block share into every member's histogram).
+  // Observability plumbing (the submitting flow's "turbo_decode" stage
+  // handles; a batched group records its span/PMU scope under its first
+  // job's identity and its per-block share of the group's wall time
+  // into every member's histogram).
   obs::TraceRecorder* trace = nullptr;
   std::uint32_t tti = 0;
   std::int32_t block = -1;

@@ -20,50 +20,23 @@ double time_domain_snr_db(double snr_db, int nfft) {
   return snr_db + 10.0 * std::log10(double(nfft));
 }
 
-void StageTimes::reset() { *this = StageTimes{}; }
-
-void StageTimes::merge(const StageTimes& other) {
-  mac.merge(other.mac);
-  crc_segmentation.merge(other.crc_segmentation);
-  turbo_encode.merge(other.turbo_encode);
-  rate_match.merge(other.rate_match);
-  scramble.merge(other.scramble);
-  modulation.merge(other.modulation);
-  ofdm.merge(other.ofdm);
-  channel.merge(other.channel);
-  ofdm_rx.merge(other.ofdm_rx);
-  demodulation.merge(other.demodulation);
-  descramble.merge(other.descramble);
-  rate_dematch.merge(other.rate_dematch);
-  arrange.merge(other.arrange);
-  turbo_decode.merge(other.turbo_decode);
-  desegmentation.merge(other.desegmentation);
-  gtpu.merge(other.gtpu);
-  dci.merge(other.dci);
+std::string stage_histogram_name(Stage s) {
+  return std::string("stage.") + stage_info(s).key + "_ns";
 }
 
-std::vector<StageTimes::Entry> StageTimes::entries() const {
-  std::vector<Entry> out;
-  const auto add = [&](const char* name, const TimeAccumulator& acc) {
-    if (acc.count() > 0) out.push_back({name, acc.total_seconds()});
-  };
-  add("MAC", mac);
-  add("CRC+segmentation", crc_segmentation);
-  add("Turbo encoding", turbo_encode);
-  add("Rate matching", rate_match);
-  add("Scrambling", scramble);
-  add("Modulation", modulation);
-  add("OFDM (tx)", ofdm);
-  add("Channel", channel);
-  add("OFDM (rx)", ofdm_rx);
-  add("Demodulation", demodulation);
-  add("Descrambling", descramble);
-  add("Rate dematch", rate_dematch);
-  add("Data arrangement", arrange);
-  add("Turbo decoding", turbo_decode);
-  add("Desegmentation", desegmentation);
-  add("GTP-U", gtpu);
-  add("DCI", dci);
+std::string stage_pmu_prefix(Stage s) {
+  return std::string("pmu.stage.") + stage_info(s).key + ".";
+}
+
+std::vector<StageEntry> stage_entries(const obs::Snapshot& snap) {
+  std::vector<StageEntry> out;
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    const auto s = static_cast<Stage>(i);
+    const obs::HistogramStats* h = snap.histogram(stage_histogram_name(s));
+    if (h != nullptr && h->count > 0) {
+      out.push_back({stage_info(s).label, double(h->sum) * 1e-9});
+    }
+  }
   return out;
 }
 
@@ -71,7 +44,7 @@ namespace detail {
 
 /// One stage's resolved sinks: the latency histogram and — when the
 /// config asked for hardware attribution AND the PMU is usable — the
-/// "pmu.stage.<name>.*" counter handles. `pmu` stays all-null otherwise,
+/// "pmu.stage.<key>.*" counter handles. `pmu` stays all-null otherwise,
 /// which makes every PmuScope built from it a no-op.
 struct StageObs {
   obs::Histogram* ns = nullptr;
@@ -81,25 +54,7 @@ struct StageObs {
 /// Metric handles resolved once per pipeline. All pointers null when the
 /// config disabled metrics, making every record site a cheap branch.
 struct PipelineObs {
-  // One StageObs per StageTimes stage ("stage.<name>_ns" histogram,
-  // "pmu.stage.<name>.*" counters).
-  StageObs mac;
-  StageObs crc_segmentation;
-  StageObs turbo_encode;
-  StageObs rate_match;
-  StageObs scramble;
-  StageObs modulation;
-  StageObs ofdm;
-  StageObs channel;
-  StageObs ofdm_rx;
-  StageObs demodulation;
-  StageObs descramble;
-  StageObs rate_dematch;
-  StageObs arrange;
-  StageObs turbo_decode;
-  StageObs desegmentation;
-  StageObs gtpu;
-  StageObs dci;
+  std::array<StageObs, kStageCount> stage;  ///< indexed by Stage
 
   // Packet-level metrics ("pipeline.*").
   obs::Histogram* latency_ns = nullptr;  ///< whole send_packet
@@ -116,38 +71,23 @@ struct PipelineObs {
     // says its pmu.* counters would have been zeros (and are absent).
     if (pmu) obs::pmu_export_availability(*m);
     const bool hw = pmu && obs::pmu_available();
-    const auto stage = [&](const char* name) {
-      StageObs s;
-      s.ns = &m->histogram(std::string("stage.") + name + "_ns");
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+      const auto s = static_cast<Stage>(i);
+      stage[i].ns = &m->histogram(stage_histogram_name(s));
       if (hw) {
-        s.pmu = obs::PmuStageCounters::resolve(
-            *m, std::string("pmu.stage.") + name + ".");
+        stage[i].pmu = obs::PmuStageCounters::resolve(*m, stage_pmu_prefix(s));
       }
-      return s;
-    };
-    mac = stage("mac");
-    crc_segmentation = stage("crc_segmentation");
-    turbo_encode = stage("turbo_encode");
-    rate_match = stage("rate_match");
-    scramble = stage("scramble");
-    modulation = stage("modulation");
-    ofdm = stage("ofdm_tx");
-    channel = stage("channel");
-    ofdm_rx = stage("ofdm_rx");
-    demodulation = stage("demodulation");
-    descramble = stage("descramble");
-    rate_dematch = stage("rate_dematch");
-    arrange = stage("arrange");
-    turbo_decode = stage("turbo_decode");
-    desegmentation = stage("desegmentation");
-    gtpu = stage("gtpu");
-    dci = stage("dci");
+    }
     latency_ns = &m->histogram("pipeline.latency_ns");
     proc_ns = &m->histogram("pipeline.proc_ns");
     packets = &m->counter("pipeline.packets");
     delivered = &m->counter("pipeline.delivered");
     crc_fail = &m->counter("pipeline.crc_fail");
     harq_retx = &m->counter("pipeline.harq_retx");
+  }
+
+  const StageObs& operator[](Stage s) const {
+    return stage[static_cast<std::size_t>(s)];
   }
 };
 
@@ -159,35 +99,32 @@ std::uint64_t to_ns(double seconds) {
   return seconds <= 0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9);
 }
 
-/// Everything one packet's stages need to report: the flat accumulators
-/// (the legacy contract), the resolved histograms, and the optional span
-/// recorder. Passed by reference down the stage helpers.
+/// Everything one packet's stages need to report: the resolved stage
+/// sinks and the optional span recorder. Passed by reference down the
+/// stage helpers.
 struct PacketObs {
-  StageTimes& t;
   const detail::PipelineObs& h;
   obs::TraceRecorder* trace = nullptr;
   std::uint32_t tti = 0;
 };
 
-/// RAII stage scope: one Stopwatch read feeds the TimeAccumulator (exact
-/// StageTimes compatibility), the stage histogram, and — when tracing —
-/// a begin/end span stamped with TTI / code-block / worker id. With
+/// RAII stage scope — the only way a stage is timed, on the driving
+/// thread and on pool workers alike. One Stopwatch read feeds the
+/// stage's "stage.<key>_ns" histogram and, when tracing, a begin/end
+/// span named <key> stamped with TTI / code-block / worker id. With
 /// hardware attribution on, the embedded PmuScope folds the stage's
-/// cycle/instruction/L1D deltas into its "pmu.stage.<name>.*" counters
+/// cycle/instruction/L1D deltas into its "pmu.stage.<key>.*" counters
 /// over exactly the stopwatch window (a no-op object otherwise).
+/// Histogram shards fold on snapshot, so workers record directly.
 class StageScope {
  public:
-  StageScope(const PacketObs& po, TimeAccumulator& acc,
-             const detail::StageObs& so, const char* name,
-             std::int32_t block = -1)
-      : acc_(acc), h_(so.ns), trace_(po.trace), name_(name), tti_(po.tti),
-        block_(block), pmu_(so.pmu.ptr()) {
+  StageScope(const PacketObs& po, Stage s, std::int32_t block = -1)
+      : h_(po.h[s].ns), trace_(po.trace), name_(stage_info(s).key),
+        tti_(po.tti), block_(block), pmu_(po.h[s].pmu.ptr()) {
     if (trace_ != nullptr) trace_begin_ = trace_->now_ns();
   }
   ~StageScope() {
-    const double s = sw_.seconds();
-    acc_.add(s);
-    if (h_ != nullptr) h_->record(to_ns(s));
+    if (h_ != nullptr) h_->record(to_ns(sw_.seconds()));
     if (trace_ != nullptr) {
       obs::TraceEvent ev;
       ev.name = name_;
@@ -204,7 +141,6 @@ class StageScope {
 
  private:
   Stopwatch sw_;
-  TimeAccumulator& acc_;
   obs::Histogram* h_;
   obs::TraceRecorder* trace_;
   const char* name_;
@@ -284,8 +220,7 @@ PreparedTb prepare_tb(std::span<const std::uint8_t> pdu,
   PreparedTb out;
   std::vector<std::vector<std::uint8_t>> blocks;
   {
-    StageScope st(po, po.t.crc_segmentation, po.h.crc_segmentation,
-                  "crc+segmentation");
+    StageScope st(po, Stage::kCrcSegmentation);
     auto bits = unpack_bits(pdu);
     phy::crc_attach(bits, CrcType::k24A);
     out.plan = phy::make_segmentation_plan(static_cast<int>(bits.size()));
@@ -297,8 +232,7 @@ PreparedTb prepare_tb(std::span<const std::uint8_t> pdu,
   out.codewords.reserve(static_cast<std::size_t>(out.plan.c));
   for (int i = 0; i < out.plan.c; ++i) {
     const int k = out.plan.block_size(i);
-    StageScope st(po, po.t.turbo_encode, po.h.turbo_encode, "turbo_encode",
-                  i);
+    StageScope st(po, Stage::kTurboEncode, i);
     out.codewords.push_back(
         ws.codecs().encoder(k).encode(blocks[static_cast<std::size_t>(i)]));
   }
@@ -330,7 +264,7 @@ EncodedTb phy_transmit(const PreparedTb& tb, const PipelineConfig& cfg,
                 tb.codewords.size());
   for (int i = 0; i < tb.plan.c; ++i) {
     const int k = tb.plan.block_size(i);
-    StageScope st(po, po.t.rate_match, po.h.rate_match, "rate_match", i);
+    StageScope st(po, Stage::kRateMatch, i);
     const auto e = ws.codecs().matcher(k).match(
         tb.codewords[static_cast<std::size_t>(i)], tb.e_per_block, rv,
         cfg.isa);
@@ -338,7 +272,7 @@ EncodedTb phy_transmit(const PreparedTb& tb, const PipelineConfig& cfg,
   }
 
   {
-    StageScope st(po, po.t.scramble, po.h.scramble, "scramble");
+    StageScope st(po, Stage::kScramble);
     phy::scramble_bits(coded, phy::pusch_c_init(cfg.rnti, 0,
                                                 static_cast<int>(tti % 20),
                                                 cfg.cell_id));
@@ -346,13 +280,13 @@ EncodedTb phy_transmit(const PreparedTb& tb, const PipelineConfig& cfg,
 
   std::vector<phy::IqSample> symbols;
   {
-    StageScope st(po, po.t.modulation, po.h.modulation, "modulation");
+    StageScope st(po, Stage::kModulation);
     symbols = phy::modulate(coded, mod_of(cfg.mcs));
   }
   out.n_symbols = symbols.size();
 
   {
-    StageScope st(po, po.t.ofdm, po.h.ofdm, "ofdm_tx");
+    StageScope st(po, Stage::kOfdmTx);
     out.time = ofdm.modulate(symbols);
   }
   return out;
@@ -381,16 +315,8 @@ struct HarqBuffers {
 struct DecodedTb {
   bool crc_ok = false;
   int turbo_iterations = 0;
-  double arrange_seconds = 0;
   std::uint64_t allocs = 0;  ///< heap allocations during this decode
   std::span<const std::uint8_t> pdu;
-};
-
-/// Per-block receive-side accounting, shared between the decode phases.
-struct BlockOutcome {
-  double dematch_seconds = 0;
-  double arrange_seconds = 0;
-  DecodeOutcome decode;  ///< written by the DecodeScheduler
 };
 
 /// Decode-front output held across the scheduler run: the per-block
@@ -398,7 +324,7 @@ struct BlockOutcome {
 /// workspace arena (valid until the pipeline's next packet).
 struct DecodeCtx {
   const EncodedTb* enc = nullptr;
-  std::span<BlockOutcome> per_block;
+  std::span<DecodeOutcome> outcomes;  ///< written by the DecodeScheduler
   std::span<std::span<std::uint8_t>> hard;
   std::uint64_t allocs = 0;  ///< front-phase heap allocations
 };
@@ -413,11 +339,10 @@ struct DecodeCtx {
 /// dematch+arrange stage runs one block per worker. The driving thread
 /// resolves every codec object and carves every buffer BEFORE the fork;
 /// workers receive raw pointers and disjoint spans and never touch the
-/// workspace. The flat StageTimes are recorded per block and folded in
-/// block order by the back phase — totals are bit-identical for any
-/// worker count. Histograms and trace spans, by contrast, are recorded
-/// directly from the workers: histogram shards fold on snapshot
-/// (order-independent) and spans carry the worker id that ran the block.
+/// workspace. Each block's StageScopes record from the worker that ran
+/// it: histogram shards fold on snapshot (order-independent, so sample
+/// counts are identical for any worker count) and spans carry the
+/// worker id.
 void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
                       std::uint32_t tti, PacketObs& po,
                       const phy::OfdmModulator& ofdm, HarqBuffers* harq,
@@ -428,7 +353,7 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
 
   const auto symbols = arena.make_span<phy::IqSample>(enc.n_symbols);
   {
-    StageScope st(po, po.t.ofdm_rx, po.h.ofdm_rx, "ofdm_rx");
+    StageScope st(po, Stage::kOfdmRx);
     const auto fft_scratch = arena.make_span<phy::Cf>(
         static_cast<std::size_t>(ofdm.config().nfft));
     ofdm.demodulate_into(enc.time, symbols, fft_scratch);
@@ -438,7 +363,7 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
   const auto llr = arena.make_span<std::int16_t>(
       symbols.size() * static_cast<std::size_t>(phy::bits_per_symbol(mod)));
   {
-    StageScope st(po, po.t.demodulation, po.h.demodulation, "demodulation");
+    StageScope st(po, Stage::kDemodulation);
     const double n0_re =
         cfg.with_channel ? std::pow(10.0, -cfg.snr_db / 10.0) : 0.01;
     phy::demodulate_llr_into(symbols, mod,
@@ -447,7 +372,7 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
   }
 
   {
-    StageScope st(po, po.t.descramble, po.h.descramble, "descramble");
+    StageScope st(po, Stage::kDescramble);
     phy::descramble_llr(llr, phy::pusch_c_init(cfg.rnti, 0,
                                                static_cast<int>(tti % 20),
                                                cfg.cell_id),
@@ -458,7 +383,7 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
 
   const bool multi = enc.plan.c > 1;
   const std::size_t n_blocks = static_cast<std::size_t>(enc.plan.c);
-  const auto per_block = arena.make_object_span<BlockOutcome>(n_blocks);
+  const auto outcomes = arena.make_object_span<DecodeOutcome>(n_blocks);
   const auto hard = arena.make_span<std::span<std::uint8_t>>(n_blocks);
   const auto w_bufs = arena.make_span<std::span<std::int16_t>>(n_blocks);
   const auto triples = arena.make_span<std::span<std::int16_t>>(n_blocks);
@@ -483,26 +408,6 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
                            std::size_t>(phy::RateMatcher::buffer_size_for(k)));
   }
 
-  const auto dematch_block = [&](std::size_t bi) {
-    const int i = static_cast<int>(bi);
-    const auto tid = ThreadPool::current_worker_id();
-    auto& ob = per_block[bi];
-    {
-      obs::ScopedSpan span(po.trace, "rate_dematch", po.tti, i, tid);
-      obs::PmuScope pmu(po.h.rate_dematch.pmu.ptr());
-      Stopwatch sw;
-      const auto slice = std::span<const std::int16_t>(llr).subspan(
-          bi * static_cast<std::size_t>(enc.e_per_block),
-          static_cast<std::size_t>(enc.e_per_block));
-      matchers[bi]->dematch_accumulate(slice, enc.rv, w_bufs[bi], cfg.isa);
-      matchers[bi]->buffer_to_triples_into(w_bufs[bi], triples[bi], cfg.isa);
-      ob.dematch_seconds = sw.seconds();
-    }
-    if (po.h.rate_dematch.ns != nullptr) {
-      po.h.rate_dematch.ns->record(to_ns(ob.dematch_seconds));
-    }
-  };
-
   // Forced early-stop miss: the block burns max_iterations instead of
   // exiting at CRC pass / repeat detection. Keyed per (packet, block),
   // so which blocks miss is rerun- and worker-count-stable.
@@ -520,29 +425,23 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
   // so one stage serves both and the scheduler only ever sees arranged
   // blocks.
   const auto arrange_block = [&](std::size_t bi) {
-    const int i = static_cast<int>(bi);
-    const auto tid = ThreadPool::current_worker_id();
-    auto& ob = per_block[bi];
-    dematch_block(bi);
+    const auto i = static_cast<std::int32_t>(bi);
     {
-      obs::ScopedSpan span(po.trace, "turbo_arrange", po.tti, i, tid);
-      // Attributed to pmu.stage.turbo_decode exactly like the fused
-      // arrange-and-decode used to be; fig15 --hw measures the
-      // arrangement kernel standalone for the isolated numbers.
-      obs::PmuScope pmu(po.h.turbo_decode.pmu.ptr());
-      Stopwatch sw;
-      arrange::Options opt;
-      opt.method = cfg.arrange_method;
-      opt.isa = cfg.isa;
-      opt.order = arrange::Order::kCanonical;
-      arrange::deinterleave3_i16(triples[bi], arranged[3 * bi],
-                                 arranged[3 * bi + 1], arranged[3 * bi + 2],
-                                 opt);
-      ob.arrange_seconds = sw.seconds();
+      StageScope st(po, Stage::kRateDematch, i);
+      const auto slice = std::span<const std::int16_t>(llr).subspan(
+          bi * static_cast<std::size_t>(enc.e_per_block),
+          static_cast<std::size_t>(enc.e_per_block));
+      matchers[bi]->dematch_accumulate(slice, enc.rv, w_bufs[bi], cfg.isa);
+      matchers[bi]->buffer_to_triples_into(w_bufs[bi], triples[bi], cfg.isa);
     }
-    if (po.h.arrange.ns != nullptr) {
-      po.h.arrange.ns->record(to_ns(ob.arrange_seconds));
-    }
+    StageScope st(po, Stage::kArrange, i);
+    arrange::Options opt;
+    opt.method = cfg.arrange_method;
+    opt.isa = cfg.isa;
+    opt.order = arrange::Order::kCanonical;
+    arrange::deinterleave3_i16(triples[bi], arranged[3 * bi],
+                               arranged[3 * bi + 1], arranged[3 * bi + 2],
+                               opt);
   };
 
   if (pool != nullptr && n_blocks > 1) {
@@ -569,24 +468,23 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
     j.force_full = miss_early_stop(bi);
     j.in = {arranged[3 * bi], arranged[3 * bi + 1], arranged[3 * bi + 2]};
     j.hard = hard[bi];
-    j.out = &per_block[bi].decode;
+    j.out = &outcomes[bi];
     j.trace = po.trace;
     j.tti = po.tti;
     j.block = static_cast<std::int32_t>(bi);
-    j.turbo_ns = po.h.turbo_decode.ns;
-    j.pmu = po.h.turbo_decode.pmu.ptr();
+    j.turbo_ns = po.h[Stage::kTurboDecode].ns;
+    j.pmu = po.h[Stage::kTurboDecode].pmu.ptr();
     jobs.push_back(j);
   }
 
   ctx.enc = &enc;
-  ctx.per_block = per_block;
+  ctx.outcomes = outcomes;
   ctx.hard = hard;
   ctx.allocs = alloc_stats::news() - news0;
 }
 
-/// Receive back: fold the per-block outcomes (the scheduler has filled
-/// per_block[..].decode by now) into the stage accumulators, then
-/// desegment and check the TB CRC.
+/// Receive back: gather the per-block outcomes (the scheduler has filled
+/// them by now), then desegment and check the TB CRC.
 DecodedTb phy_decode_back(PacketObs& po, PipelineWorkspace& ws,
                           DecodeCtx& ctx) {
   const std::uint64_t news0 = alloc_stats::news();
@@ -597,19 +495,15 @@ DecodedTb phy_decode_back(PacketObs& po, PipelineWorkspace& ws,
 
   bool all_ok = true;
   int max_iters = 0;
-  for (const auto& ob : ctx.per_block) {
-    po.t.rate_dematch.add(ob.dematch_seconds);
-    po.t.arrange.add(ob.arrange_seconds);
-    po.t.turbo_decode.add(ob.decode.compute_seconds);
-    out.arrange_seconds += ob.arrange_seconds;
-    all_ok = all_ok && ob.decode.crc_ok;
-    max_iters = std::max(max_iters, ob.decode.iterations);
+  for (const auto& o : ctx.outcomes) {
+    all_ok = all_ok && o.crc_ok;
+    max_iters = std::max(max_iters, o.iterations);
   }
   out.turbo_iterations = max_iters;
 
   // Desegment + TB CRC.
   {
-    StageScope st(po, po.t.desegmentation, po.h.desegmentation, "deseg");
+    StageScope st(po, Stage::kDesegmentation);
     const auto views =
         arena.make_span<std::span<const std::uint8_t>>(n_blocks);
     for (std::size_t bi = 0; bi < n_blocks; ++bi) views[bi] = ctx.hard[bi];
@@ -711,14 +605,14 @@ void UplinkPipeline::tti_begin(std::span<const std::uint8_t> ip_packet) {
   // (including HARQ soft buffers, reused across retransmissions) lives
   // until this packet completes; the next packet rewinds it in O(1).
   ws_.arena().reset();
-  PacketObs po{times_, *obs_, cfg_.trace, st.tti};
+  PacketObs po{*obs_, cfg_.trace, st.tti};
   st.span.emplace(cfg_.trace, "packet", st.tti);
 
   // UE MAC: size the transport block to the packet.
   std::vector<std::uint8_t> pdu;
   int n_prb = 0;
   {
-    StageScope stage(po, times_.mac, obs_->mac, "mac");
+    StageScope stage(po, Stage::kMac);
     const int payload_bits =
         static_cast<int>(ip_packet.size() + mac::kMacHeaderBytes) * 8;
     n_prb = mac::prbs_for_payload(payload_bits, cfg_.mcs, cfg_.max_prb);
@@ -747,13 +641,13 @@ bool UplinkPipeline::tti_done() const {
 void UplinkPipeline::tti_transmit() {
   auto& st = *state_;
   Stopwatch phase;
-  PacketObs po{times_, *obs_, cfg_.trace, st.tti};
+  PacketObs po{*obs_, cfg_.trace, st.tti};
   st.res.transmissions = st.tx + 1;
   st.enc =
       phy_transmit(st.tb, cfg_, st.tti, po, ofdm_, kRvSeq[st.tx % 4], ws_);
   if (cfg_.with_channel) {
     Stopwatch csw;
-    StageScope stage(po, times_.channel, obs_->channel, "channel");
+    StageScope stage(po, Stage::kChannel);
     channel_.apply(std::span<phy::Cf>(st.enc.time));
     st.res.channel_seconds += csw.seconds();
   }
@@ -767,9 +661,8 @@ void UplinkPipeline::tti_transmit() {
 void UplinkPipeline::tti_collect() {
   auto& st = *state_;
   Stopwatch phase;
-  PacketObs po{times_, *obs_, cfg_.trace, st.tti};
+  PacketObs po{*obs_, cfg_.trace, st.tti};
   st.dec = phy_decode_back(po, ws_, st.ctx);
-  st.res.arrange_seconds += st.dec.arrange_seconds;
   st.res.decode_allocs += st.dec.allocs;
   ++st.tx;
   st.res.latency_seconds += phase.seconds();
@@ -778,7 +671,7 @@ void UplinkPipeline::tti_collect() {
 PacketResult UplinkPipeline::tti_finish() {
   auto& st = *state_;
   Stopwatch phase;
-  PacketObs po{times_, *obs_, cfg_.trace, st.tti};
+  PacketObs po{*obs_, cfg_.trace, st.tti};
   st.res.crc_ok = st.dec.crc_ok;
   st.res.turbo_iterations = st.dec.turbo_iterations;
 
@@ -786,11 +679,11 @@ PacketResult UplinkPipeline::tti_finish() {
   if (st.dec.crc_ok) {
     std::optional<mac::MacSdu> sdu;
     {
-      StageScope stage(po, times_.mac, obs_->mac, "mac");
+      StageScope stage(po, Stage::kMac);
       sdu = mac::mac_parse_pdu(st.dec.pdu);
     }
     if (sdu.has_value()) {
-      StageScope stage(po, times_.gtpu, obs_->gtpu, "gtpu");
+      StageScope stage(po, Stage::kGtpu);
       st.res.egress = net::gtpu_encapsulate(cfg_.teid, sdu->data);
       // Wire mangling on the S1-U leg: the frame still egresses
       // (delivered = true from the eNB's perspective); the EPC side
@@ -856,7 +749,7 @@ PacketResult DownlinkPipeline::send_packet(
   PacketResult res;
   const std::uint32_t tti = tti_++;
   ws_.arena().reset();  // one arena frame per packet (see uplink)
-  PacketObs po{times_, *obs_, cfg_.trace, tti};
+  PacketObs po{*obs_, cfg_.trace, tti};
   obs::ScopedSpan packet_span(cfg_.trace, "packet", tti);
 
   const auto finish = [&] {
@@ -875,7 +768,7 @@ PacketResult DownlinkPipeline::send_packet(
   std::vector<std::uint8_t> pdu;
   int n_prb = 0;
   {
-    StageScope st(po, times_.mac, obs_->mac, "mac");
+    StageScope st(po, Stage::kMac);
     const int payload_bits =
         static_cast<int>(ip_packet.size() + mac::kMacHeaderBytes) * 8;
     n_prb = mac::prbs_for_payload(payload_bits, cfg_.mcs, cfg_.max_prb);
@@ -889,7 +782,7 @@ PacketResult DownlinkPipeline::send_packet(
 
   // DCI grant on the control channel (encode at eNB, decode at UE).
   {
-    StageScope st(po, times_.dci, obs_->dci, "dci");
+    StageScope st(po, Stage::kDci);
     phy::DciPayload grant;
     grant.rb_start = 0;
     grant.rb_len = static_cast<std::uint8_t>(n_prb);
@@ -914,7 +807,7 @@ PacketResult DownlinkPipeline::send_packet(
 
   if (cfg_.with_channel) {
     Stopwatch csw;
-    StageScope st(po, times_.channel, obs_->channel, "channel");
+    StageScope st(po, Stage::kChannel);
     channel_.apply(std::span<phy::Cf>(enc.time));
     res.channel_seconds = csw.seconds();
   }
@@ -933,13 +826,12 @@ PacketResult DownlinkPipeline::send_packet(
   const auto dec = phy_decode_back(po, ws_, ctx);
   res.crc_ok = dec.crc_ok;
   res.turbo_iterations = dec.turbo_iterations;
-  res.arrange_seconds = dec.arrange_seconds;
   res.decode_allocs = dec.allocs;
 
   if (dec.crc_ok) {
     std::optional<mac::MacSdu> sdu;
     {
-      StageScope st(po, times_.mac, obs_->mac, "mac");
+      StageScope st(po, Stage::kMac);
       sdu = mac::mac_parse_pdu(dec.pdu);
     }
     if (sdu.has_value()) {

@@ -7,12 +7,15 @@
 // GTP-U encapsulation toward the EPC. Downlink runs the same chain in
 // the opposite direction plus a DCI grant per TTI.
 //
-// Every stage is timed into a named accumulator so the benches can
-// reproduce the paper's per-module CPU-share figures, and the turbo
-// decoder's data-arrangement mechanism is taken from the config — the
-// APCM-vs-extract comparison of Figs. 13/14 is a one-field change.
+// Every stage is listed once, in kStages, and timed into its
+// "stage.<key>_ns" histogram so the benches can reproduce the paper's
+// per-module CPU-share figures; the turbo decoder's data-arrangement
+// mechanism is taken from the config — the APCM-vs-extract comparison of
+// Figs. 13/14 is a one-field change.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -72,24 +75,24 @@ struct PipelineConfig {
   /// data arrangement -> turbo decode). 1 = the legacy single-threaded
   /// path, bit-exact with previous releases; N > 1 decodes up to N code
   /// blocks concurrently and produces bit-identical egress/crc_ok (per-
-  /// block decoding is deterministic; only the timing attribution is
-  /// gathered per block and merged at the join).
+  /// block decoding is deterministic; only which worker records each
+  /// block's stage times differs).
   int num_workers = 1;
   /// Bound for each codec LRU map in the pipeline's workspace (distinct
   /// K values / decoder specs kept warm; see workspace.h). Traffic over
   /// more distinct sizes evicts and reconstructs instead of growing
   /// without bound.
   std::size_t codec_cache_capacity = 8;
-  /// Metrics sink: every stage feeds a latency histogram
-  /// ("stage.<name>_ns") alongside its StageTimes accumulator, and the
-  /// pipeline records per-packet counters/histograms ("pipeline.*").
+  /// Metrics sink: every stage feeds its latency histogram
+  /// ("stage.<key>_ns", see kStages), and the pipeline records
+  /// per-packet counters/histograms ("pipeline.*").
   /// Defaults to the process-wide registry; point at a private registry
   /// to isolate one run's distributions, or nullptr to disable.
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
   /// Span recorder for chrome://tracing export; nullptr = tracing off.
   obs::TraceRecorder* trace = nullptr;
   /// Hardware PMU attribution (see obs/pmu.h): bracket every stage with
-  /// a counter-group scope folding "pmu.stage.<name>.*" counters into
+  /// a counter-group scope folding "pmu.stage.<key>.*" counters into
   /// `metrics` (cycles, instructions, L1D accesses, topdown slots where
   /// the CPU exposes them), and have decode workers attribute their
   /// share as "threadpool.pmu.*.w<id>". Availability is exported as the
@@ -107,43 +110,73 @@ struct PipelineConfig {
   fault::FaultInjector* fault = nullptr;
 };
 
-/// Named per-stage CPU-time accumulators.
-///
-/// Thread-safety contract: NOT internally synchronized. The parallel
-/// decode path never writes a shared StageTimes from workers; each work
-/// item records into its own slot and the caller folds the slots in with
-/// merge()/TimeAccumulator::add after the join, so totals are
-/// deterministic and identical for any worker count.
-struct StageTimes {
-  TimeAccumulator mac;
-  TimeAccumulator crc_segmentation;
-  TimeAccumulator turbo_encode;
-  TimeAccumulator rate_match;
-  TimeAccumulator scramble;
-  TimeAccumulator modulation;
-  TimeAccumulator ofdm;
-  TimeAccumulator channel;
-  TimeAccumulator ofdm_rx;
-  TimeAccumulator demodulation;
-  TimeAccumulator descramble;
-  TimeAccumulator rate_dematch;
-  TimeAccumulator arrange;      ///< the paper's data-arrangement process
-  TimeAccumulator turbo_decode; ///< MAP iterations (excl. arrangement)
-  TimeAccumulator desegmentation;
-  TimeAccumulator gtpu;
-  TimeAccumulator dci;
-
-  struct Entry {
-    std::string name;
-    double seconds;
-  };
-  /// Non-zero stages, transmit-to-receive order.
-  std::vector<Entry> entries() const;
-  void reset();
-  /// Fold another StageTimes into this one, stage by stage (join-side
-  /// aggregation for per-worker/per-flow accumulators).
-  void merge(const StageTimes& other);
+/// Every timed pipeline stage, transmit-to-receive order.
+enum class Stage : std::uint8_t {
+  kMac,
+  kCrcSegmentation,
+  kTurboEncode,
+  kRateMatch,
+  kScramble,
+  kModulation,
+  kOfdmTx,
+  kChannel,
+  kOfdmRx,
+  kDemodulation,
+  kDescramble,
+  kRateDematch,
+  kArrange,      ///< the paper's data-arrangement process
+  kTurboDecode,  ///< MAP iterations (excl. arrangement)
+  kDesegmentation,
+  kGtpu,
+  kDci,
 };
+inline constexpr std::size_t kStageCount =
+    static_cast<std::size_t>(Stage::kDci) + 1;
+
+struct StageInfo {
+  /// Metric and trace name: histogram "stage.<key>_ns", PMU counters
+  /// "pmu.stage.<key>.*", trace span "<key>".
+  const char* key;
+  /// Display label (figure tables, bench JSON "stages_us_per_tti").
+  const char* label;
+};
+
+/// The one stage table, indexed by Stage.
+inline constexpr std::array<StageInfo, kStageCount> kStages = {{
+    {"mac", "MAC"},
+    {"crc_segmentation", "CRC+segmentation"},
+    {"turbo_encode", "Turbo encoding"},
+    {"rate_match", "Rate matching"},
+    {"scramble", "Scrambling"},
+    {"modulation", "Modulation"},
+    {"ofdm_tx", "OFDM (tx)"},
+    {"channel", "Channel"},
+    {"ofdm_rx", "OFDM (rx)"},
+    {"demodulation", "Demodulation"},
+    {"descramble", "Descrambling"},
+    {"rate_dematch", "Rate dematch"},
+    {"arrange", "Data arrangement"},
+    {"turbo_decode", "Turbo decoding"},
+    {"desegmentation", "Desegmentation"},
+    {"gtpu", "GTP-U"},
+    {"dci", "DCI"},
+}};
+
+constexpr const StageInfo& stage_info(Stage s) {
+  return kStages[static_cast<std::size_t>(s)];
+}
+/// "stage.<key>_ns".
+std::string stage_histogram_name(Stage s);
+/// "pmu.stage.<key>." — the PmuStageCounters::resolve prefix.
+std::string stage_pmu_prefix(Stage s);
+
+struct StageEntry {
+  std::string label;
+  double seconds;
+};
+/// Recorded stage time in `snap` ("stage.<key>_ns" sums): the non-empty
+/// stages, table order, under their display labels.
+std::vector<StageEntry> stage_entries(const obs::Snapshot& snap);
 
 namespace detail {
 /// Resolved metric handles (per-stage histograms, packet counters) —
@@ -163,7 +196,6 @@ struct PacketResult {
   double latency_seconds = 0;      ///< whole-pipeline processing time
   double channel_seconds = 0;      ///< synthetic-channel share (testbed
                                    ///< artifact, not vRAN processing)
-  double arrange_seconds = 0;      ///< data-arrangement share
   std::size_t tb_bytes = 0;
   std::size_t code_blocks = 0;
   /// Heap allocations observed across the decode chain (OFDM rx through
@@ -181,8 +213,6 @@ class UplinkPipeline {
   ~UplinkPipeline();
 
   const PipelineConfig& config() const { return cfg_; }
-  StageTimes& times() { return times_; }
-  const StageTimes& times() const { return times_; }
   /// Arena + codec caches backing the decode hot path (inspectable for
   /// tests/benches: arena high-water, cache sizes, evictions).
   const PipelineWorkspace& workspace() const { return ws_; }
@@ -235,7 +265,6 @@ class UplinkPipeline {
 
  private:
   PipelineConfig cfg_;
-  StageTimes times_;
   phy::OfdmModulator ofdm_;
   phy::AwgnChannel channel_;
   std::unique_ptr<ThreadPool> pool_;  ///< nullptr when num_workers <= 1
@@ -254,15 +283,12 @@ class DownlinkPipeline {
   ~DownlinkPipeline();
 
   const PipelineConfig& config() const { return cfg_; }
-  StageTimes& times() { return times_; }
-  const StageTimes& times() const { return times_; }
   const PipelineWorkspace& workspace() const { return ws_; }
 
   PacketResult send_packet(std::span<const std::uint8_t> ip_packet);
 
  private:
   PipelineConfig cfg_;
-  StageTimes times_;
   phy::OfdmModulator ofdm_;
   phy::AwgnChannel channel_;
   std::unique_ptr<ThreadPool> pool_;  ///< nullptr when num_workers <= 1

@@ -124,8 +124,7 @@ TEST(AllocSteadyState, CrossTbSchedulerIsZeroAlloc) {
     for (std::size_t f = 0; f < flows; ++f) {
       cfgs[f].rnti = static_cast<std::uint16_t>(0x4321 + f);
     }
-    BatchRunner runner(BatchRunner::Direction::kUplink, cfgs, workers,
-                       /*cross_tb_batch=*/true);
+    BatchRunner runner(BatchRunner::Direction::kUplink, cfgs, workers);
     const std::vector<std::vector<std::uint8_t>> packets(
         flows, make_packet(1500));
     std::vector<PacketResult> results;

@@ -303,30 +303,6 @@ TEST(Timer, StopwatchMonotone) {
   (void)sink;
 }
 
-TEST(Timer, AccumulatorMean) {
-  TimeAccumulator acc;
-  acc.add(1.0);
-  acc.add(3.0);
-  EXPECT_DOUBLE_EQ(acc.total_seconds(), 4.0);
-  EXPECT_DOUBLE_EQ(acc.mean_seconds(), 2.0);
-  EXPECT_EQ(acc.count(), 2u);
-  acc.reset();
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_DOUBLE_EQ(acc.mean_seconds(), 0.0);
-}
-
-TEST(Timer, AccumulatorMergeFoldsSamples) {
-  TimeAccumulator a, b;
-  a.add(1.0);
-  b.add(2.0);
-  b.add(5.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.total_seconds(), 8.0);
-  EXPECT_EQ(a.count(), 3u);
-  a.merge(TimeAccumulator{});  // empty merge is a no-op
-  EXPECT_EQ(a.count(), 3u);
-}
-
 TEST(Timer, RdtscMonotoneAndUnitDocumented) {
   // rdtsc() must never fault (the RDTSCP fallback path) and must be
   // monotone across a busy loop whatever unit it counts in; the unit is

@@ -13,9 +13,10 @@
 //
 //  2. Cross-TB/cross-UE grouping is semantics-free: a BatchRunner with
 //     the shared scheduler produces byte-identical egress and identical
-//     HARQ transmission counts to the legacy per-TB path, for any
-//     worker count, on scalar and the widest tier, across randomized
-//     multi-UE TTIs (mixed sizes, idle flows, retransmissions).
+//     HARQ transmission counts to per-TB decoding (one standalone
+//     UplinkPipeline per flow calling send_packet), for any worker
+//     count, on scalar and the widest tier, across randomized multi-UE
+//     TTIs (mixed sizes, idle flows, retransmissions).
 //
 //  3. Grouping mechanics: ragged last groups and single-block fallback
 //     groups decode correctly, and cross-UE aggregation measurably
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -153,20 +155,26 @@ std::vector<std::vector<std::vector<std::uint8_t>>> make_ttis(
   return out;
 }
 
-void expect_cross_equals_legacy(IsaLevel isa, int workers, double snr_db,
+void expect_cross_equals_per_tb(IsaLevel isa, int workers, double snr_db,
                                 int harq_max_tx) {
   const std::size_t kFlows = 4;
   const auto cfgs = flow_configs(isa, snr_db, harq_max_tx, kFlows);
-  BatchRunner cross(BatchRunner::Direction::kUplink, cfgs, workers,
-                    /*cross_tb_batch=*/true);
-  BatchRunner legacy(BatchRunner::Direction::kUplink, cfgs, workers,
-                     /*cross_tb_batch=*/false);
-  ASSERT_TRUE(cross.cross_tb_batch());
-  ASSERT_FALSE(legacy.cross_tb_batch());
+  BatchRunner cross(BatchRunner::Direction::kUplink, cfgs, workers);
+  ASSERT_NE(cross.decode_scheduler(), nullptr);
+  // Reference: each flow decodes its own TBs inside send_packet, on one
+  // worker as the runner forces.
+  std::vector<std::unique_ptr<UplinkPipeline>> per_tb;
+  for (auto cfg : cfgs) {
+    cfg.num_workers = 1;
+    per_tb.push_back(std::make_unique<UplinkPipeline>(cfg));
+  }
 
   for (const auto& packets : make_ttis(kFlows, 6)) {
     const auto rc = cross.run_tti(packets);
-    const auto rl = legacy.run_tti(packets);
+    std::vector<PacketResult> rl(kFlows);
+    for (std::size_t f = 0; f < kFlows; ++f) {
+      if (!packets[f].empty()) rl[f] = per_tb[f]->send_packet(packets[f]);
+    }
     ASSERT_EQ(rc.size(), rl.size());
     for (std::size_t f = 0; f < rc.size(); ++f) {
       EXPECT_EQ(rc[f].crc_ok, rl[f].crc_ok) << f;
@@ -181,25 +189,25 @@ void expect_cross_equals_legacy(IsaLevel isa, int workers, double snr_db,
 }
 
 TEST(CrossTbSched, MatchesPerTbScalarOneWorker) {
-  expect_cross_equals_legacy(IsaLevel::kScalar, 1, 25.0, 1);
+  expect_cross_equals_per_tb(IsaLevel::kScalar, 1, 25.0, 1);
 }
 
 TEST(CrossTbSched, MatchesPerTbScalarFourWorkers) {
-  expect_cross_equals_legacy(IsaLevel::kScalar, 4, 25.0, 1);
+  expect_cross_equals_per_tb(IsaLevel::kScalar, 4, 25.0, 1);
 }
 
 TEST(CrossTbSched, MatchesPerTbBestIsaOneWorker) {
-  expect_cross_equals_legacy(best_isa(), 1, 25.0, 1);
+  expect_cross_equals_per_tb(best_isa(), 1, 25.0, 1);
 }
 
 TEST(CrossTbSched, MatchesPerTbBestIsaFourWorkers) {
-  expect_cross_equals_legacy(best_isa(), 4, 25.0, 1);
+  expect_cross_equals_per_tb(best_isa(), 4, 25.0, 1);
 }
 
 TEST(CrossTbSched, MatchesPerTbUnderHarqRetransmissions) {
   // SNR where first transmissions often fail: flows leave the shared
   // scheduling rounds at different HARQ depths.
-  expect_cross_equals_legacy(best_isa(), 4, 11.5, 4);
+  expect_cross_equals_per_tb(best_isa(), 4, 11.5, 4);
 }
 
 // ---------------------------------------------------------------------------

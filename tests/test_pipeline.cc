@@ -2,6 +2,9 @@
 // across MCS / SNR / packet-size / arrangement-method combinations.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "net/gtpu.h"
 #include "net/pktgen.h"
 #include "pipeline/pipeline.h"
@@ -71,13 +74,18 @@ TEST(Uplink, LargePacketSegmentsIntoMultipleCodeBlocks) {
 TEST(Uplink, ArrangementMethodsAllDeliver) {
   for (auto method : {arrange::Method::kScalar, arrange::Method::kExtract,
                       arrange::Method::kApcm}) {
+    obs::MetricsRegistry reg;
     auto cfg = base_config();
     cfg.arrange_method = method;
+    cfg.metrics = &reg;
     UplinkPipeline ul(cfg);
     const auto pkt = make_packet(1024, net::L4Proto::kUdp);
     const auto res = ul.send_packet(pkt);
     EXPECT_TRUE(res.delivered) << arrange::method_name(method);
-    EXPECT_GT(res.arrange_seconds, 0.0);
+    const auto snap = reg.snapshot();
+    const auto* arrange = snap.histogram(stage_histogram_name(Stage::kArrange));
+    ASSERT_NE(arrange, nullptr);
+    EXPECT_GT(arrange->sum, 0u);
   }
 }
 
@@ -103,25 +111,6 @@ TEST(Uplink, VeryLowSnrFailsCrc) {
   EXPECT_FALSE(res.delivered);
 }
 
-TEST(Uplink, StageTimesPopulated) {
-  UplinkPipeline ul(base_config());
-  const auto pkt = make_packet(1500, net::L4Proto::kUdp);
-  ul.send_packet(pkt);
-  const auto entries = ul.times().entries();
-  EXPECT_GE(entries.size(), 10u);
-  double total = 0;
-  bool has_arrange = false;
-  for (const auto& e : entries) {
-    EXPECT_GE(e.seconds, 0.0) << e.name;
-    total += e.seconds;
-    has_arrange = has_arrange || e.name == "Data arrangement";
-  }
-  EXPECT_TRUE(has_arrange);
-  EXPECT_GT(total, 0.0);
-  ul.times().reset();
-  EXPECT_TRUE(ul.times().entries().empty());
-}
-
 TEST(Uplink, NoChannelModeIsDeterministic) {
   auto cfg = base_config();
   cfg.with_channel = false;
@@ -141,7 +130,6 @@ TEST(Downlink, DeliversWithDciGrant) {
   const auto res = dl.send_packet(pkt);
   ASSERT_TRUE(res.delivered);
   EXPECT_EQ(res.egress, pkt);
-  EXPECT_GT(dl.times().dci.total_seconds(), 0.0);
 }
 
 TEST(Downlink, SequentialPacketsKeepDelivering) {
@@ -247,6 +235,86 @@ TEST(Harq, PayloadIntactAfterRetransmissions) {
   const auto gtpu = net::gtpu_decapsulate(res.egress);
   ASSERT_TRUE(gtpu.has_value());
   EXPECT_EQ(gtpu->inner, pkt);
+}
+
+// ---------------------------------------------------------------------------
+// The stage table: one list of stages behind every timing consumer.
+// ---------------------------------------------------------------------------
+
+TEST(StageTable, KeysAndLabelsAreUniqueAndCoverEveryStage) {
+  static_assert(kStages.size() == kStageCount);
+  std::set<std::string> keys, labels;
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    const StageInfo& s = stage_info(static_cast<Stage>(i));
+    ASSERT_NE(s.key, nullptr) << i;
+    ASSERT_NE(s.label, nullptr) << i;
+    keys.insert(s.key);
+    labels.insert(s.label);
+  }
+  EXPECT_EQ(keys.size(), kStageCount);
+  EXPECT_EQ(labels.size(), kStageCount);
+  EXPECT_EQ(stage_histogram_name(Stage::kTurboDecode),
+            "stage.turbo_decode_ns");
+  EXPECT_EQ(stage_pmu_prefix(Stage::kArrange), "pmu.stage.arrange.");
+}
+
+/// Runs one packet into a private registry and checks that exactly the
+/// stages other than `absent` recorded, and that stage_entries lists
+/// them in table order under their labels.
+template <typename Pipeline>
+void expect_stages_recorded_except(Stage absent) {
+  obs::MetricsRegistry reg;
+  auto cfg = base_config();
+  cfg.metrics = &reg;
+  Pipeline p(cfg);
+  ASSERT_TRUE(p.send_packet(make_packet(1500, net::L4Proto::kUdp)).delivered);
+  const auto snap = reg.snapshot();
+  std::vector<std::string> want;
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    const auto s = static_cast<Stage>(i);
+    const auto* h = snap.histogram(stage_histogram_name(s));
+    ASSERT_NE(h, nullptr) << stage_info(s).key;
+    EXPECT_EQ(h->count > 0, s != absent) << stage_info(s).key;
+    if (s != absent) want.emplace_back(stage_info(s).label);
+  }
+  const auto entries = stage_entries(snap);
+  ASSERT_EQ(entries.size(), want.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].label, want[i]);
+    EXPECT_GT(entries[i].seconds, 0.0) << entries[i].label;
+  }
+}
+
+TEST(StageTable, UplinkRecordsEveryStageButDci) {
+  expect_stages_recorded_except<UplinkPipeline>(Stage::kDci);
+}
+
+TEST(StageTable, DownlinkRecordsEveryStageButGtpu) {
+  expect_stages_recorded_except<DownlinkPipeline>(Stage::kGtpu);
+}
+
+TEST(StageTable, TracedParallelPacketUsesOnlyTableSpanNames) {
+  obs::TraceRecorder rec;
+  auto cfg = base_config();
+  cfg.metrics = nullptr;
+  cfg.trace = &rec;
+  cfg.num_workers = 4;
+  UplinkPipeline ul(cfg);
+  const auto res = ul.send_packet(make_packet(1500, net::L4Proto::kUdp));
+  ASSERT_TRUE(res.delivered);
+  ASSERT_GE(res.code_blocks, 2u);
+  std::set<std::string> allowed{"packet"};
+  for (const StageInfo& s : kStages) allowed.insert(s.key);
+  std::set<std::string> seen;
+  for (const auto& ev : rec.events()) {
+    ASSERT_NE(ev.name, nullptr);
+    EXPECT_EQ(allowed.count(ev.name), 1u) << ev.name;
+    seen.insert(ev.name);
+  }
+  for (const Stage s : {Stage::kRateDematch, Stage::kArrange,
+                        Stage::kTurboDecode, Stage::kDesegmentation}) {
+    EXPECT_EQ(seen.count(stage_info(s).key), 1u) << stage_info(s).key;
+  }
 }
 
 }  // namespace

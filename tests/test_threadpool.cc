@@ -219,37 +219,37 @@ TEST(ParallelDecode, DownlinkBitExactVsSingleWorker) {
   EXPECT_EQ(got.egress, want.egress);
 }
 
-TEST(ParallelDecode, StageTimesStayAggregationConsistent) {
+/// Sample count and nanosecond sum of one stage's histogram.
+obs::HistogramStats stage_stats(const obs::MetricsRegistry& reg, Stage s) {
+  const auto snap = reg.snapshot();
+  const auto* h = snap.histogram(stage_histogram_name(s));
+  return h != nullptr ? *h : obs::HistogramStats{};
+}
+
+TEST(ParallelDecode, StageHistogramsStayAggregationConsistent) {
   // Same packet count through both pipelines: the parallel path must
   // record the same NUMBER of samples per stage (values differ, counts
   // must not — each block contributes exactly one sample to dematch /
-  // arrange / decode in both modes).
+  // arrange / decode in both modes, whichever worker recorded it).
   const auto pkt = make_packet(1500);
+  obs::MetricsRegistry serial_reg, parallel_reg;
   auto cfg = multi_cb_config();
   cfg.num_workers = 1;
+  cfg.metrics = &serial_reg;
   UplinkPipeline serial(cfg);
   cfg.num_workers = 4;
+  cfg.metrics = &parallel_reg;
   UplinkPipeline parallel(cfg);
   const auto ra = serial.send_packet(pkt);
   const auto rb = parallel.send_packet(pkt);
   ASSERT_EQ(ra.crc_ok, rb.crc_ok);
-  EXPECT_EQ(serial.times().rate_dematch.count(),
-            parallel.times().rate_dematch.count());
-  EXPECT_EQ(serial.times().arrange.count(), parallel.times().arrange.count());
-  EXPECT_EQ(serial.times().turbo_decode.count(),
-            parallel.times().turbo_decode.count());
-  EXPECT_GT(parallel.times().turbo_decode.total_seconds(), 0.0);
-}
-
-TEST(StageTimesMerge, FoldsStageByStage) {
-  StageTimes a, b;
-  a.mac.add(1.0);
-  b.mac.add(2.0);
-  b.arrange.add(0.5);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.mac.total_seconds(), 3.0);
-  EXPECT_EQ(a.mac.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.arrange.total_seconds(), 0.5);
+  for (const Stage s :
+       {Stage::kRateDematch, Stage::kArrange, Stage::kTurboDecode}) {
+    EXPECT_EQ(stage_stats(serial_reg, s).count,
+              stage_stats(parallel_reg, s).count)
+        << stage_info(s).key;
+  }
+  EXPECT_GT(stage_stats(parallel_reg, Stage::kTurboDecode).sum, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -313,15 +313,18 @@ TEST(BatchRunner, DownlinkDirectionWorks) {
   }
 }
 
-TEST(BatchRunner, AggregateTimesMergesAllFlows) {
-  BatchRunner batch(BatchRunner::Direction::kUplink, make_flow_configs(3), 2);
+TEST(BatchRunner, StageHistogramsCollectAllFlows) {
+  obs::MetricsRegistry reg;
+  auto cfgs = make_flow_configs(3);
+  for (auto& cfg : cfgs) cfg.metrics = &reg;
+  BatchRunner batch(BatchRunner::Direction::kUplink, cfgs, 2);
   std::vector<std::vector<std::uint8_t>> packets;
   for (int u = 0; u < 3; ++u) packets.push_back(make_packet(800, 10 + u));
   batch.run_tti(packets);
-  const auto agg = batch.aggregate_times();
-  EXPECT_GT(agg.turbo_decode.total_seconds(), 0.0);
+  const auto turbo = stage_stats(reg, Stage::kTurboDecode);
+  EXPECT_GT(turbo.sum, 0u);
   // 3 flows x >= 1 code block each.
-  EXPECT_GE(agg.turbo_decode.count(), 3u);
+  EXPECT_GE(turbo.count, 3u);
 }
 
 TEST(BatchRunner, RejectsBadInputs) {
