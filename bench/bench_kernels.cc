@@ -1,13 +1,15 @@
 // google-benchmark micro-suite over the hot kernels: data arrangement
-// (every method x ISA x order), stride-2 splits, constituent MAP passes
-// and the full-width element kernels. Complements the figure harnesses
+// (every method x ISA x order), stride-2 splits, constituent MAP passes,
+// the batched-lane decoder and the full-width element kernels. Complements the figure harnesses
 // with statistically-managed per-kernel numbers.
 #include <benchmark/benchmark.h>
 
 #include "arrange/arrange.h"
+#include "bench/hw_kernels.h"
 #include "common/aligned.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "phy/turbo/turbo_batch.h"
 #include "phy/turbo/turbo_decoder.h"
 #include "phy/turbo/turbo_encoder.h"
 
@@ -86,6 +88,25 @@ void BM_MapDecode(benchmark::State& state, IsaLevel isa) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
 }
 
+// Full batched decode_arranged() of lane_capacity(isa) blocks, 4 forced
+// iterations (the fig09 / pmu_validate workload); items are decoded
+// information bits, blocks x K per call.
+void BM_TurboBatchDecode(benchmark::State& state, IsaLevel isa) {
+  if (isa > best_isa()) {
+    state.SkipWithError("ISA unavailable");
+    return;
+  }
+  const int k = static_cast<int>(state.range(0));
+  const auto decode = bench::hw::wl_turbo_decode_batch(isa, k, 4);
+  for (auto _ : state) {
+    decode();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      phy::TurboBatchDecoder::lane_capacity(isa) * k);
+}
+
 void BM_VecSatAdd(benchmark::State& state, IsaLevel isa) {
   if (isa != IsaLevel::kScalar && isa > best_isa()) {
     state.SkipWithError("ISA unavailable");
@@ -150,6 +171,13 @@ BENCHMARK_CAPTURE(BM_MapDecode, scalar, IsaLevel::kScalar)->Arg(6144);
 BENCHMARK_CAPTURE(BM_MapDecode, sse128, IsaLevel::kSse41)->Arg(6144);
 BENCHMARK_CAPTURE(BM_MapDecode, avx256, IsaLevel::kAvx2)->Arg(6144);
 BENCHMARK_CAPTURE(BM_MapDecode, avx512, IsaLevel::kAvx512)->Arg(6144);
+
+BENCHMARK_CAPTURE(BM_TurboBatchDecode, sse128, IsaLevel::kSse41)
+    ->Arg(4160)->Arg(6144);
+BENCHMARK_CAPTURE(BM_TurboBatchDecode, avx256, IsaLevel::kAvx2)
+    ->Arg(4160)->Arg(6144);
+BENCHMARK_CAPTURE(BM_TurboBatchDecode, avx512, IsaLevel::kAvx512)
+    ->Arg(4160)->Arg(6144);
 
 BENCHMARK_CAPTURE(BM_VecSatAdd, sse128, IsaLevel::kSse41)->Arg(65536);
 BENCHMARK_CAPTURE(BM_VecSatAdd, avx512, IsaLevel::kAvx512)->Arg(65536);

@@ -6,7 +6,9 @@
 // as registers widen, while the original data arrangement does NOT
 // (it grows), so its share of the module balloons: 13% -> 17% -> 19.5%
 // original vs 4.7% -> 3.4% -> 1.8% under APCM.
+#include <array>
 #include <cstdio>
+#include <memory>
 
 #include "arrange/arrange.h"
 #include "bench/bench_util.h"
@@ -47,6 +49,29 @@ Workload make_workload(int k) {
     w.llr[3 * t + 2] = noisy(cw.d2[t]);
   }
   return w;
+}
+
+/// One noisy block's arranged streams through the windowed decoder's
+/// decode_arranged(), `iterations` forced iterations.
+bench::hw::Workload windowed_arranged(IsaLevel isa, int k, int iterations) {
+  const auto w = make_workload(k);
+  const std::size_t nt = static_cast<std::size_t>(k) + kTurboTail;
+  using Streams = std::array<AlignedVector<std::int16_t>, 3>;
+  auto streams = std::make_shared<Streams>();
+  for (std::size_t s = 0; s < 3; ++s) {
+    (*streams)[s].resize(nt);
+    for (std::size_t t = 0; t < nt; ++t) (*streams)[s][t] = w.llr[3 * t + s];
+  }
+  TurboDecodeConfig cfg;
+  cfg.isa = isa;
+  cfg.max_iterations = iterations;
+  auto dec = std::make_shared<TurboDecoder>(k, cfg);
+  auto out =
+      std::make_shared<std::vector<std::uint8_t>>(static_cast<std::size_t>(k));
+  return [dec, streams, out] {
+    dec->decode_arranged((*streams)[0], (*streams)[1], (*streams)[2], *out,
+                         /*force_full_iterations=*/true);
+  };
 }
 
 }  // namespace
@@ -96,66 +121,34 @@ int main() {
       "arrangement share grows 13%% -> 17%% -> 19.5%%, APCM share shrinks\n"
       "4.7%% -> 3.4%% -> 1.8%%\n");
 
+  const auto time_us = [](const bench::hw::Workload& fn, int reps) {
+    fn();
+    Stopwatch sw;
+    for (int r = 0; r < reps; ++r) fn();
+    return sw.seconds() / reps * 1e6;
+  };
+
   // Batched-lane decoding: B same-K blocks, one whole trellis per 8-state
   // lane group, exact boundaries at every width. Same fixed iteration
-  // count as above (force_full) so per-block time is directly comparable
-  // with the windowed decode_us column.
+  // count as above (forced) so per-block time is directly comparable
+  // with the windowed decode_us column. K = 4160 is the ul-bulk block.
   std::printf(
       "\nBatched-lane decoding (one code block per lane group, 4 fixed "
       "iterations)\n");
-  std::printf("%-10s %-7s %-7s %12s %14s\n", "isa", "blocks", "radix",
+  std::printf("%-10s %-6s %-7s %12s %14s\n", "isa", "K", "blocks",
               "batch_us", "per_block_us");
   bench::print_rule();
-  const std::size_t nt = static_cast<std::size_t>(k) + kTurboTail;
-  constexpr int kMaxBatch = 4;
-  AlignedVector<std::int16_t> streams[kMaxBatch][3];
-  {
-    Xoshiro256 rng(17);
-    for (int b = 0; b < kMaxBatch; ++b) {
-      std::vector<std::uint8_t> bits(static_cast<std::size_t>(k));
-      for (auto& v : bits) v = static_cast<std::uint8_t>(rng.next() & 1);
-      const auto cw = turbo_encode(bits);
-      const std::uint8_t* d[3] = {cw.d0.data(), cw.d1.data(), cw.d2.data()};
-      for (int s = 0; s < 3; ++s) {
-        streams[b][s].resize(nt);
-        for (std::size_t t = 0; t < nt; ++t) {
-          streams[b][s][t] = static_cast<std::int16_t>(
-              (d[s][t] ? 60 : -60) + int(rng.bounded(21)) - 10);
-        }
-      }
-    }
-  }
   for (auto isa : {IsaLevel::kSse41, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
     if (isa > best_isa()) {
       std::printf("%-10s (unavailable on this CPU)\n", isa_name(isa));
       continue;
     }
     const int nb = TurboBatchDecoder::lane_capacity(isa);
-    for (const bool radix4 : {false, true}) {
-      TurboBatchConfig bc;
-      bc.isa = isa;
-      bc.max_iterations = 4;
-      bc.radix4 = radix4;
-      TurboBatchDecoder dec(k, bc);
-      std::vector<TurboBatchInput> inputs;
-      std::vector<std::vector<std::uint8_t>> bouts(
-          static_cast<std::size_t>(nb));
-      std::vector<std::span<std::uint8_t>> out_spans;
-      std::vector<TurboBatchResult> results(static_cast<std::size_t>(nb));
-      const std::vector<std::uint8_t> force(static_cast<std::size_t>(nb), 1);
-      for (int b = 0; b < nb; ++b) {
-        inputs.push_back({streams[b][0], streams[b][1], streams[b][2]});
-        bouts[static_cast<std::size_t>(b)].resize(static_cast<std::size_t>(k));
-        out_spans.emplace_back(bouts[static_cast<std::size_t>(b)]);
-      }
-      const int reps = 40;
-      Stopwatch sw;
-      for (int r = 0; r < reps; ++r) {
-        dec.decode_arranged(inputs, out_spans, results, force);
-      }
-      const double batch_s = sw.seconds() / reps;
-      std::printf("%-10s %-7d %-7s %12.2f %14.2f\n", isa_name(isa), nb,
-                  radix4 ? "4" : "2", batch_s * 1e6, batch_s / nb * 1e6);
+    for (const int bk : {4160, 6144}) {
+      const double batch_us =
+          time_us(bench::hw::wl_turbo_decode_batch(isa, bk, 4), 40);
+      std::printf("%-10s %-6d %-7d %12.2f %14.2f\n", isa_name(isa), bk, nb,
+                  batch_us, batch_us / nb);
     }
   }
   bench::print_rule();
@@ -164,6 +157,33 @@ int main() {
       "per-lane trellis boundaries, so wide tiers stay bit-identical to\n"
       "single-block SSE decoding while amortizing one kernel pass over B\n"
       "blocks.\n");
+
+  // One block alone: the exact 1-lane kernel (what the batch route runs
+  // for a singleton group) against the windowed AVX-512 decoder, both on
+  // arranged streams with forced iterations. Retiring the windowed route
+  // costs single blocks nothing only if exact_us <= windowed_us.
+  std::printf(
+      "\nSingle block: exact 1-lane kernel vs windowed avx512 "
+      "(decode_arranged, forced iterations)\n");
+  std::printf("%-6s %-6s %12s %14s %8s\n", "K", "iters", "exact_us",
+              "windowed_us", "ratio");
+  bench::print_rule();
+  if (IsaLevel::kAvx512 > best_isa()) {
+    std::printf("avx512 (unavailable on this CPU)\n");
+  } else {
+    for (const int bk : {1024, 4160}) {
+      for (const int iters : {1, 6}) {
+        const double exact = time_us(
+            bench::hw::wl_turbo_decode_batch(IsaLevel::kSse41, bk, iters),
+            100);
+        const double windowed =
+            time_us(windowed_arranged(IsaLevel::kAvx512, bk, iters), 100);
+        std::printf("%-6d %-6d %12.2f %14.2f %8.2f\n", bk, iters, exact,
+                    windowed, exact / windowed);
+      }
+    }
+  }
+  bench::print_rule();
 
   // OFDM tx/rx vs register width: the float FFT + Q12 convert kernels
   // (PR 7), measured on the default 512-point / 300-subcarrier LTE
@@ -213,12 +233,6 @@ int main() {
   // kernels (DESIGN.md §5i), byte-identical at every tier, and the
   // packed-bit CRC, which has no ISA fork. The workloads are the port
   // model's trace_demap / trace_scramble / trace_crc twins.
-  const auto time_us = [](const bench::hw::Workload& fn, int reps) {
-    fn();
-    Stopwatch sw;
-    for (int r = 0; r < reps; ++r) fn();
-    return sw.seconds() / reps * 1e6;
-  };
   std::printf(
       "\nReceive front vs register width (measured; 64QAM demap of 7200 "
       "symbols, descramble of 20000 LLRs)\n");

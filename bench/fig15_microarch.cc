@@ -149,8 +149,7 @@ int main(int argc, char** argv) {
     }
     obs::PmuReading m;
     if (isa <= best_isa()) {
-      m = bench::hw::measure(
-          bench::hw::wl_turbo_decode_batch(isa, k, 4, /*radix4=*/false));
+      m = bench::hw::measure(bench::hw::wl_turbo_decode_batch(isa, k, 4));
     }
     json_row("turbo_batch", "batch", isa, td, m);
     std::printf("%-10s %-7d %6.2f %7.1f%% |", isa_name(isa), nb, td.ipc,

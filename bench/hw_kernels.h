@@ -120,8 +120,7 @@ inline Workload wl_turbo_decode(IsaLevel isa, int k, int iterations,
 /// early exit, so cycles are noise-independent). Counters cover
 /// decode_arranged() wholesale: batch transpose + recursions + hard
 /// decisions. Divide by lane_capacity(isa) for per-block numbers.
-inline Workload wl_turbo_decode_batch(IsaLevel isa, int k, int iterations,
-                                      bool radix4) {
+inline Workload wl_turbo_decode_batch(IsaLevel isa, int k, int iterations) {
   const int nb = phy::TurboBatchDecoder::lane_capacity(isa);
   const std::size_t kt = static_cast<std::size_t>(k) + phy::kTurboTail;
   auto streams =
@@ -157,7 +156,6 @@ inline Workload wl_turbo_decode_batch(IsaLevel isa, int k, int iterations,
   phy::TurboBatchConfig cfg;
   cfg.isa = isa;
   cfg.max_iterations = iterations;
-  cfg.radix4 = radix4;
   auto dec = std::make_shared<phy::TurboBatchDecoder>(k, cfg);
   // inputs and out_spans are views into streams and outs: the closure
   // must own those too, or the views dangle once this factory returns.

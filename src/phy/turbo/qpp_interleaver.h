@@ -42,6 +42,7 @@ class QppInterleaver {
   int pi_inverse(int i) const { return inv_[static_cast<std::size_t>(i)]; }
 
   std::span<const int> table() const { return pi_; }
+  std::span<const int> inverse_table() const { return inv_; }
 
   /// Apply: out[i] = in[pi(i)].
   template <typename T>

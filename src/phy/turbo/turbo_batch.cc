@@ -1,6 +1,6 @@
-// Batched-lane turbo decoder orchestration: batch-transpose arrangement,
-// per-lane early-termination voting, and lane compaction around the
-// per-ISA batched MAP kernels (turbo_map_batch_{sse,avx2,avx512}.cc).
+// Batched-lane turbo decoder orchestration: step-major state, per-lane
+// early-termination voting, and lane compaction around the per-ISA
+// batched MAP kernels (turbo_map_batch_{sse,avx2,avx512}.cc).
 //
 // Iteration structure mirrors TurboDecoder::decode_arranged operation
 // for operation — every per-lane arithmetic sequence is identical to the
@@ -8,13 +8,13 @@
 // CRC state are bit-exact with single-block decoding at any width.
 #include "phy/turbo/turbo_batch.h"
 
-#include <emmintrin.h>
+#include <immintrin.h>
 
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
-#include "common/saturate.h"
 #include "phy/turbo/turbo_decoder.h"
 #include "phy/turbo/turbo_map_impl.h"
 
@@ -25,36 +25,33 @@ namespace turbo_internal {
 // Entry points defined in turbo_map_batch_{sse,avx2,avx512}.cc.
 void map_decode_batch_sse(std::size_t, const std::int16_t*,
                           const std::int16_t*, const std::int16_t*,
-                          const std::int16_t*, std::int16_t*, std::size_t,
-                          std::int16_t*, bool);
+                          const std::int16_t*, std::int16_t*, std::int16_t*);
 void map_decode_batch_avx2(std::size_t, const std::int16_t*,
                            const std::int16_t*, const std::int16_t*,
-                           const std::int16_t*, std::int16_t*, std::size_t,
-                           std::int16_t*, bool);
+                           const std::int16_t*, std::int16_t*, std::int16_t*);
 void map_decode_batch_avx512(std::size_t, const std::int16_t*,
                              const std::int16_t*, const std::int16_t*,
-                             const std::int16_t*, std::int16_t*, std::size_t,
-                             std::int16_t*, bool);
+                             const std::int16_t*, std::int16_t*,
+                             std::int16_t*);
 
 namespace {
 
 void map_decode_batch(IsaLevel isa, std::size_t k, const std::int16_t* gs_step,
                       const std::int16_t* gp_step, const std::int16_t* ainit,
-                      const std::int16_t* binit, std::int16_t* ext,
-                      std::size_t ext_stride, std::int16_t* alpha_ws,
-                      bool radix4) {
+                      const std::int16_t* binit, std::int16_t* ext_step,
+                      std::int16_t* alpha_ws) {
   switch (isa) {
     case IsaLevel::kAvx512:
-      map_decode_batch_avx512(k, gs_step, gp_step, ainit, binit, ext,
-                              ext_stride, alpha_ws, radix4);
+      map_decode_batch_avx512(k, gs_step, gp_step, ainit, binit, ext_step,
+                              alpha_ws);
       return;
     case IsaLevel::kAvx2:
-      map_decode_batch_avx2(k, gs_step, gp_step, ainit, binit, ext,
-                            ext_stride, alpha_ws, radix4);
+      map_decode_batch_avx2(k, gs_step, gp_step, ainit, binit, ext_step,
+                            alpha_ws);
       return;
     default:
-      map_decode_batch_sse(k, gs_step, gp_step, ainit, binit, ext, ext_stride,
-                           alpha_ws, radix4);
+      map_decode_batch_sse(k, gs_step, gp_step, ainit, binit, ext_step,
+                           alpha_ws);
       return;
   }
 }
@@ -108,6 +105,71 @@ void transpose_step_major(const std::int16_t* const srcs[], int nw,
   }
 }
 
+/// Step-major permutation through `table`: dst[i * NW + s] =
+/// src[table[i] * NW + s] for all NW lanes at once, one 2-, 4- or
+/// 8-byte copy per trellis step.
+template <int NW>
+void gather_steps(std::span<const int> table, const std::int16_t* src,
+                  std::int16_t* dst) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    std::memcpy(dst + i * NW, src + static_cast<std::size_t>(table[i]) * NW,
+                NW * sizeof(std::int16_t));
+  }
+}
+
+void gather_steps(int nw, std::span<const int> table, const std::int16_t* src,
+                  std::int16_t* dst) {
+  switch (nw) {
+    case 4: gather_steps<4>(table, src, dst); return;
+    case 2: gather_steps<2>(table, src, dst); return;
+    default: gather_steps<1>(table, src, dst); return;
+  }
+}
+
+/// Hard decisions out of a step-major APP stream: outs[s][j] =
+/// app[j * nw + s] > 0 for the first n_out lanes, eight steps per round
+/// (n divisible by 8): compare, pack to bytes, then a byte shuffle from
+/// (step, lane) to lane-major order.
+void hard_decisions(const std::int16_t* app, int nw, std::size_t n,
+                    std::uint8_t* const outs[], int n_out) {
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i one = _mm_set1_epi8(1);
+  const __m128i by_lane4 =
+      _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+  const __m128i by_lane2 =
+      _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
+  const auto positive = [&](const std::int16_t* p) {
+    return _mm_cmpgt_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), zero);
+  };
+  // 16 values -> 16 bytes of 0/1, same order.
+  const auto bits16 = [&](const std::int16_t* p) {
+    return _mm_and_si128(_mm_packs_epi16(positive(p), positive(p + 8)), one);
+  };
+  alignas(16) std::uint8_t lanes[32] = {};  // 8 bytes per lane
+  for (std::size_t j = 0; j < n; j += 8) {
+    const std::int16_t* a = app + j * static_cast<std::size_t>(nw);
+    if (nw == 4) {
+      const __m128i q0 = _mm_shuffle_epi8(bits16(a), by_lane4);
+      const __m128i q1 = _mm_shuffle_epi8(bits16(a + 16), by_lane4);
+      _mm_store_si128(reinterpret_cast<__m128i*>(lanes),
+                      _mm_unpacklo_epi32(q0, q1));
+      _mm_store_si128(reinterpret_cast<__m128i*>(lanes + 16),
+                      _mm_unpackhi_epi32(q0, q1));
+    } else if (nw == 2) {
+      _mm_store_si128(reinterpret_cast<__m128i*>(lanes),
+                      _mm_shuffle_epi8(bits16(a), by_lane2));
+    } else {
+      _mm_store_si128(
+          reinterpret_cast<__m128i*>(lanes),
+          _mm_and_si128(_mm_packs_epi16(positive(a), zero), one));
+    }
+    for (int s = 0; s < n_out; ++s) {
+      std::memcpy(outs[s] + j, lanes + 8 * s, 8);
+    }
+  }
+}
+
 /// Narrowest tier whose lane capacity covers `nb` blocks. Always at or
 /// below the config tier because nb <= lane_capacity(cfg.isa).
 IsaLevel tier_for(int nb) {
@@ -154,22 +216,13 @@ TurboBatchDecoder::TurboBatchDecoder(int k, TurboBatchConfig cfg)
         "TurboBatchDecoder: requested ISA not available");
   }
   const std::size_t n = static_cast<std::size_t>(k_);
-  stride_ = (n + 31) / 32 * 32;
-  const std::size_t cn = static_cast<std::size_t>(capacity_) * stride_;
-  sys2_.resize(cn);
-  apr1_.resize(cn);
-  apr2_.resize(cn);
-  ext_.resize(cn);
-  gs_.resize(cn);
-  lall_.resize(cn);
-  tg_.resize(cn);
-  tp1_.resize(cn);
-  tp2_.resize(cn);
-  // Radix-2 stores one LN-wide register per step; radix-4 halves that
-  // but the full size keeps the knob switchable per call site.
-  alpha_ws_.resize(n * static_cast<std::size_t>(capacity_) * 8 + 64);
-  zeros_.resize(stride_);
-  std::fill(zeros_.begin(), zeros_.end(), std::int16_t{0});
+  const std::size_t cn = static_cast<std::size_t>(capacity_) * n;
+  for (auto* v : {&tsys_, &tsys2_, &tp1_, &tp2_, &apr1_, &apr2_, &gs_, &ext_}) {
+    v->resize(cn);
+  }
+  // One LN-wide alpha register per trellis step.
+  alpha_ws_.resize(cn * 8);
+  zeros_.resize(n);
   hard_.resize(cn);
   hard_prev_.resize(cn);
 }
@@ -191,10 +244,7 @@ void TurboBatchDecoder::decode_arranged(
     throw std::invalid_argument("TurboBatchDecoder: span count mismatch");
   }
 
-  // Per-block setup: tails, beta boundary training, interleaved
-  // systematic stream, zeroed constituent-1 a-priori.
-  std::int16_t sys_tail2[kMaxLanes][3];
-  std::int16_t par_tail2[kMaxLanes][3];
+  // Per-block setup: tails and beta boundary training.
   bool converged[kMaxLanes] = {};
   bool have_prev[kMaxLanes] = {};
   for (int b = 0; b < nb; ++b) {
@@ -209,12 +259,8 @@ void TurboBatchDecoder::decode_arranged(
     // 36.212 tail multiplexing (see turbo_encoder.cc).
     const std::int16_t st1[3] = {sys[n], p2[n], p1[n + 1]};
     const std::int16_t pt1[3] = {p1[n], sys[n + 1], p2[n + 1]};
-    sys_tail2[b][0] = sys[n + 2];
-    sys_tail2[b][1] = p2[n + 2];
-    sys_tail2[b][2] = p1[n + 3];
-    par_tail2[b][0] = p1[n + 2];
-    par_tail2[b][1] = sys[n + 3];
-    par_tail2[b][2] = p2[n + 3];
+    const std::int16_t st2[3] = {sys[n + 2], p2[n + 2], p1[n + 3]};
+    const std::int16_t pt2[3] = {p1[n + 2], sys[n + 3], p2[n + 3]};
 
     beta_tail1_[b][0] = 0;
     beta_tail2_[b][0] = 0;
@@ -224,15 +270,8 @@ void TurboBatchDecoder::decode_arranged(
     }
     for (int t = 2; t >= 0; --t) {
       scalar_beta_step(beta_tail1_[b], st1[t], pt1[t]);
-      scalar_beta_step(beta_tail2_[b], sys_tail2[b][t], par_tail2[b][t]);
+      scalar_beta_step(beta_tail2_[b], st2[t], pt2[t]);
     }
-
-    interleaver_.interleave(
-        sys.first(n),
-        std::span<std::int16_t>(
-            sys2_.data() + static_cast<std::size_t>(b) * stride_, n));
-    std::fill_n(apr1_.data() + static_cast<std::size_t>(b) * stride_, n,
-                std::int16_t{0});
     results[static_cast<std::size_t>(b)] = TurboBatchResult{};
   }
 
@@ -244,6 +283,8 @@ void TurboBatchDecoder::decode_arranged(
   IsaLevel tier = IsaLevel::kSse41;
   int nw = 1;
   int n_converged = 0;
+  const auto pi = interleaver_.table();
+  const auto pi_inv = interleaver_.inverse_table();
 
   const auto assign_lanes = [&]() {
     const bool compact = 2 * n_converged >= nb;
@@ -257,11 +298,21 @@ void TurboBatchDecoder::decode_arranged(
         std::equal(desired, desired + nd, slot_blocks)) {
       return;
     }
+    // Old slot of each surviving block, for the carried a-priori.
+    int from[kMaxLanes] = {};
+    for (int s = 0; s < nd; ++s) {
+      from[s] = static_cast<int>(
+          std::find(slot_blocks, slot_blocks + n_slots, desired[s]) -
+          slot_blocks);
+    }
+    const bool first = n_slots == 0;
+    const std::size_t old_nw = static_cast<std::size_t>(nw);
     n_slots = nd;
     std::copy(desired, desired + nd, slot_blocks);
     tier = tier_for(n_slots);
     nw = lane_capacity(tier);
-    // Re-pack parity transposes and boundary metrics for the new lanes.
+    // Re-pack streams and boundary metrics for the new lanes.
+    const std::int16_t* syss[kMaxLanes];
     const std::int16_t* p1s[kMaxLanes];
     const std::int16_t* p2s[kMaxLanes];
     std::fill_n(ainit_, nw * 8, std::int16_t{0});
@@ -269,91 +320,79 @@ void TurboBatchDecoder::decode_arranged(
     std::fill_n(binit2_, nw * 8, std::int16_t{0});
     for (int s = 0; s < nw; ++s) {
       if (s < n_slots) {
-        const int b = slot_blocks[s];
-        p1s[s] = blocks[static_cast<std::size_t>(b)].p1.data();
-        p2s[s] = blocks[static_cast<std::size_t>(b)].p2.data();
+        const auto& in = blocks[static_cast<std::size_t>(slot_blocks[s])];
+        syss[s] = in.sys.data();
+        p1s[s] = in.p1.data();
+        p2s[s] = in.p2.data();
         ainit_[s * 8] = 0;
         for (int st = 1; st < 8; ++st) ainit_[s * 8 + st] = kMetricFloor;
-        std::copy_n(beta_tail1_[b], 8, binit1_ + s * 8);
-        std::copy_n(beta_tail2_[b], 8, binit2_ + s * 8);
+        std::copy_n(beta_tail1_[slot_blocks[s]], 8, binit1_ + s * 8);
+        std::copy_n(beta_tail2_[slot_blocks[s]], 8, binit2_ + s * 8);
       } else {
-        p1s[s] = zeros_.data();
-        p2s[s] = zeros_.data();
+        syss[s] = p1s[s] = p2s[s] = zeros_.data();
       }
     }
+    transpose_step_major(syss, nw, n, tsys_.data());
     transpose_step_major(p1s, nw, n, tp1_.data());
     transpose_step_major(p2s, nw, n, tp2_.data());
+    gather_steps(nw, pi, tsys_.data(), tsys2_.data());
+    const std::size_t len = n * static_cast<std::size_t>(nw);
+    if (first) {
+      std::fill_n(apr1_.data(), len, std::int16_t{0});
+      return;
+    }
+    // Survivors keep their a-priori: select their old lanes into the
+    // narrower layout (gs_ is free between iterations).
+    for (std::size_t k = 0; k < n; ++k) {
+      for (int s = 0; s < nw; ++s) {
+        gs_[k * static_cast<std::size_t>(nw) + static_cast<std::size_t>(s)] =
+            s < n_slots ? apr1_[k * old_nw + static_cast<std::size_t>(from[s])]
+                        : std::int16_t{0};
+      }
+    }
+    std::swap(apr1_, gs_);
   };
 
-  const auto slot_gs = [&](int s) {
-    return gs_.data() + static_cast<std::size_t>(s) * stride_;
-  };
-  const std::int16_t* gs_srcs[kMaxLanes];
-
+  std::uint8_t* slot_hard[kMaxLanes] = {};
   for (int it = 0; it < cfg_.max_iterations; ++it) {
     assign_lanes();
     if (n_slots == 0) break;
-    // Includes the alignment padding between slots; the elementwise
-    // helpers just pass over it.
-    const std::size_t used = static_cast<std::size_t>(n_slots) * stride_;
+    const std::size_t len = n * static_cast<std::size_t>(nw);
+    const auto span_of = [len](AlignedVector<std::int16_t>& v) {
+      return std::span<std::int16_t>(v.data(), len);
+    };
+    const auto tsys = span_of(tsys_);
+    const auto tsys2 = span_of(tsys2_);
+    const auto apr1 = span_of(apr1_);
+    const auto apr2 = span_of(apr2_);
+    const auto gs = span_of(gs_);
+    const auto ext = span_of(ext_);
 
     // ---- Constituent 1 (natural order) ----
-    for (int s = 0; s < nw; ++s) {
-      gs_srcs[s] = s < n_slots ? slot_gs(s) : zeros_.data();
-    }
-    for (int s = 0; s < n_slots; ++s) {
-      const std::size_t b = static_cast<std::size_t>(slot_blocks[s]);
-      vec_sat_add(cfg_.isa, blocks[b].sys.first(n),
-                  std::span<const std::int16_t>(apr1_.data() + b * stride_, n),
-                  std::span<std::int16_t>(slot_gs(s), n));
-    }
-    transpose_step_major(gs_srcs, nw, n, tg_.data());
-    map_decode_batch(tier, n, tg_.data(), tp1_.data(), ainit_, binit1_,
-                     ext_.data(), stride_, alpha_ws_.data(), cfg_.radix4);
-    // apr2 = scaled ext1, gathered through the interleaver per block.
-    vec_scale_extrinsic(cfg_.isa, std::span<std::int16_t>(ext_.data(), used));
-    for (int s = 0; s < n_slots; ++s) {
-      const std::size_t b = static_cast<std::size_t>(slot_blocks[s]);
-      const std::int16_t* eb =
-          ext_.data() + static_cast<std::size_t>(s) * stride_;
-      std::int16_t* a2 = apr2_.data() + b * stride_;
-      for (std::size_t i = 0; i < n; ++i) {
-        a2[i] = eb[static_cast<std::size_t>(
-            interleaver_.pi(static_cast<int>(i)))];
-      }
-    }
+    vec_sat_add(cfg_.isa, tsys, apr1, gs);
+    map_decode_batch(tier, n, gs.data(), tp1_.data(), ainit_, binit1_,
+                     ext.data(), alpha_ws_.data());
+    // apr2 = scaled ext1, interleaved: all lanes of a step per copy.
+    vec_scale_extrinsic(cfg_.isa, ext);
+    gather_steps(nw, pi, ext.data(), apr2.data());
 
     // ---- Constituent 2 (interleaved order) ----
+    vec_sat_add(cfg_.isa, tsys2, apr2, gs);
+    map_decode_batch(tier, n, gs.data(), tp2_.data(), ainit_, binit2_,
+                     ext.data(), alpha_ws_.data());
+    // Full APP for hard bits (ext + gs, before scaling) replaces gs, then
+    // both go back to natural order through pi^-1: the scaled extrinsic
+    // is the next a-priori, the APP lands in apr2 (free until the next
+    // gather) and yields each slot's hard decisions.
+    vec_sat_add(cfg_.isa, ext, gs, gs);
+    vec_scale_extrinsic(cfg_.isa, ext);
+    gather_steps(nw, pi_inv, ext.data(), apr1.data());
+    gather_steps(nw, pi_inv, gs.data(), apr2.data());
     for (int s = 0; s < n_slots; ++s) {
-      const std::size_t b = static_cast<std::size_t>(slot_blocks[s]);
-      vec_sat_add(cfg_.isa,
-                  std::span<const std::int16_t>(sys2_.data() + b * stride_, n),
-                  std::span<const std::int16_t>(apr2_.data() + b * stride_, n),
-                  std::span<std::int16_t>(slot_gs(s), n));
+      slot_hard[s] =
+          hard_.data() + static_cast<std::size_t>(slot_blocks[s]) * n;
     }
-    transpose_step_major(gs_srcs, nw, n, tg_.data());
-    map_decode_batch(tier, n, tg_.data(), tp2_.data(), ainit_, binit2_,
-                     ext_.data(), stride_, alpha_ws_.data(), cfg_.radix4);
-    // Full APP for hard bits (ext + gs, before scaling), then scale.
-    vec_sat_add(cfg_.isa, std::span<const std::int16_t>(ext_.data(), used),
-                std::span<const std::int16_t>(gs_.data(), used),
-                std::span<std::int16_t>(lall_.data(), used));
-    vec_scale_extrinsic(cfg_.isa, std::span<std::int16_t>(ext_.data(), used));
-    for (int s = 0; s < n_slots; ++s) {
-      const std::size_t b = static_cast<std::size_t>(slot_blocks[s]);
-      const std::int16_t* eb =
-          ext_.data() + static_cast<std::size_t>(s) * stride_;
-      const std::int16_t* lb =
-          lall_.data() + static_cast<std::size_t>(s) * stride_;
-      std::int16_t* a1 = apr1_.data() + b * stride_;
-      std::uint8_t* hb = hard_.data() + b * stride_;
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto pi_i =
-            static_cast<std::size_t>(interleaver_.pi(static_cast<int>(i)));
-        a1[pi_i] = eb[i];
-        hb[pi_i] = static_cast<std::uint8_t>(lb[i] > 0);
-      }
-    }
+    hard_decisions(apr2.data(), nw, n, slot_hard, n_slots);
 
     // ---- Per-lane early-termination voting ----
     for (int s = 0; s < n_slots; ++s) {
@@ -364,9 +403,9 @@ void TurboBatchDecoder::decode_arranged(
       const bool forced =
           !force_full.empty() && force_full[static_cast<std::size_t>(b)] != 0;
       const auto hb = std::span<const std::uint8_t>(
-          hard_.data() + static_cast<std::size_t>(b) * stride_, n);
+          hard_.data() + static_cast<std::size_t>(b) * n, n);
       auto hp = std::span<std::uint8_t>(
-          hard_prev_.data() + static_cast<std::size_t>(b) * stride_, n);
+          hard_prev_.data() + static_cast<std::size_t>(b) * n, n);
       if (!forced && cfg_.crc.has_value() && crc_check(hb, *cfg_.crc)) {
         res.crc_ok = true;
         res.converged = true;
@@ -394,7 +433,7 @@ void TurboBatchDecoder::decode_arranged(
     if (converged[b]) continue;
     auto& res = results[static_cast<std::size_t>(b)];
     const auto hb = std::span<const std::uint8_t>(
-        hard_.data() + static_cast<std::size_t>(b) * stride_, n);
+        hard_.data() + static_cast<std::size_t>(b) * n, n);
     res.crc_ok = cfg_.crc.has_value() && crc_check(hb, *cfg_.crc);
     std::copy(hb.begin(), hb.end(), outs[static_cast<std::size_t>(b)].begin());
   }

@@ -8,17 +8,21 @@
 // lane group carries a whole trellis with its exact boundary metrics
 // (alpha from the known zero start state, beta trained from that block's
 // own termination tails), so the batched output is bit-identical to the
-// scalar/SSE single-block decoder at every register width.
+// SSE single-block decoder at every register width.
 //
 // Early termination is per-lane voting: a block that passes its CRC (or
 // repeats its hard decisions) freezes its output and stops contributing
 // CRC checks, but its lanes keep riding along at full width — until at
 // least half the batch has converged, at which point the survivors are
 // compacted into the narrowest kernel that still covers them
-// (4 -> 2 -> 1 lane groups) and the freed width is retired. Compaction
-// is cheap because the step-major operand transposes are rebuilt every
-// half-iteration anyway; only the parity transposes and boundary packs
-// are re-packed when the lane assignment changes.
+// (4 -> 2 -> 1 lane groups) and the freed width is retired.
+//
+// The per-iteration state (systematic, interleaved systematic, a-priori,
+// gamma and extrinsic streams) is kept step-major for the current lane
+// assignment, `x[step * NW + lane]`, which is the layout the MAP kernels
+// read and write. The QPP interleaver then moves all NW lanes of a step
+// with one 2-, 4- or 8-byte copy, and no transposes run per iteration;
+// a compaction re-packs the carried state once.
 //
 // Decoding is allocation-free: all workspaces are sized for capacity()
 // blocks at construction.
@@ -45,9 +49,6 @@ struct TurboBatchConfig {
   std::optional<CrcType> crc;
   /// Widest register tier the batch may use; sets lane capacity.
   IsaLevel isa = IsaLevel::kSse41;
-  /// Fuse two trellis steps per loop iteration, storing alpha only at
-  /// even steps (bit-exact with radix-2; halves alpha spill traffic).
-  bool radix4 = false;
 };
 
 struct TurboBatchResult {
@@ -108,17 +109,16 @@ class TurboBatchDecoder {
   int capacity_;
   TurboBatchConfig cfg_;
   QppInterleaver interleaver_;
-  /// Per-slot stride: K rounded up to 32 int16 so every slot base stays
-  /// 64-byte aligned for the full-width elementwise helpers.
-  std::size_t stride_ = 0;
 
-  // Slot-major workspaces (slot stride = stride_); slot s holds the
-  // block currently assigned to lane group s.
-  AlignedVector<std::int16_t> sys2_, apr1_, apr2_, ext_, gs_, lall_;
-  // Step-major operand transposes (stride = current kernel width).
-  AlignedVector<std::int16_t> tg_, tp1_, tp2_;
+  // Step-major workspaces for the current lane assignment, K * NW values
+  // each (sized for capacity() lanes). Streams of the current blocks:
+  AlignedVector<std::int16_t> tsys_, tsys2_, tp1_, tp2_;
+  // Carried a-priori (apr1_, natural order) and per-half-iteration
+  // buffers: apr2_ (interleaved order), gamma-systematic and extrinsics.
+  AlignedVector<std::int16_t> apr1_, apr2_, gs_, ext_;
   AlignedVector<std::int16_t> alpha_ws_;
   AlignedVector<std::int16_t> zeros_;  ///< source for unused lanes
+  // Per-block hard decisions in natural order, K bytes per block.
   std::vector<std::uint8_t> hard_, hard_prev_;
 
   // Per-block boundary state, indexed by block position in `blocks`.

@@ -8,27 +8,35 @@
 // Because every lane group carries a whole block, each lane group gets
 // the block's *exact* boundary metrics — alpha from the known zero start
 // state, beta trained from that block's own termination tails — so every
-// lane is bit-identical to the scalar reference decoder, at every
-// register width. This is the key contrast with the windowed kernel,
-// whose equal-metric window boundaries are approximate for NW > 1.
+// lane is bit-identical to the one-window SSE decoder, at every register
+// width. This is the key contrast with the windowed kernel, whose
+// equal-metric window boundaries are approximate for NW > 1. (The scalar
+// reference agrees too, except on inputs at the int16 rails: it starts
+// each max at kMetricFloor, the SIMD kernels do not.)
 //
-// The caller owns the batch-transpose arrangement: operands arrive
-// step-major (`gs_step[step * NW + lane]`), boundary metrics arrive as
-// LN-wide packed arrays, and extrinsics leave lane-major
-// (`ext[lane * ext_stride + step]`). Keeping the data movement outside
-// the kernel lets the orchestrator rebuild lane assignments cheaply when
-// converged lanes are compacted away (turbo_batch.cc).
+// All operands and results are step-major (`x[step * NW + lane]`):
+// gamma inputs arrive that way, boundary metrics arrive as LN-wide
+// packed arrays, and extrinsics leave that way. The orchestrator
+// (turbo_batch.cc) keeps its whole per-iteration state in this layout,
+// so the interleaver moves all lanes of one step with a single copy.
 //
-// The radix-4 option fuses two trellis steps per forward loop iteration
-// and stores alpha only at even steps; the backward pass recomputes the
-// odd-step alpha from the stored even one with the *identical* operation
-// sequence, so radix-4 output is bit-exact with radix-2 while halving
-// the alpha spill traffic (the dominant memory stream at K = 6144).
+// Extrinsics leave the register file four trellis steps at a time: the
+// backward pass keeps each step's two branch-sum registers, reduces four
+// steps' worth per branch with one unpack/max transpose tree, takes one
+// saturating difference and stores the 4 x NW results at once. Max is
+// exact, so the order of the reduction changes no value; every
+// saturation happens in the adds before it, as in the single-window
+// kernel. Every legal K is a multiple of 8, so 4-step rounds leave no
+// tail.
+//
+// Beyond the VecOps contract of turbo_map_impl.h this needs the
+// per-128-bit-lane unpacks `unpacklo16/unpackhi16/unpacklo32/unpackhi32`,
+// `bsrli<8>`, and `store_steps4(p, v)`, which writes words 0-3 of every
+// lane group step-major to p[0 .. 4 * kWindows).
 #pragma once
 
 #include <cstdint>
 
-#include "common/saturate.h"
 #include "phy/turbo/turbo_map_impl.h"
 
 namespace vran::phy::turbo_internal {
@@ -37,9 +45,8 @@ template <class V>
 void map_decode_batch_impl(std::size_t K, const std::int16_t* gs_step,
                            const std::int16_t* gp_step,
                            const std::int16_t* ainit,
-                           const std::int16_t* binit, std::int16_t* ext,
-                           std::size_t ext_stride, std::int16_t* alpha_ws,
-                           bool radix4) {
+                           const std::int16_t* binit, std::int16_t* ext_step,
+                           std::int16_t* alpha_ws) {
   using reg = typename V::reg;
   constexpr int NW = V::kWindows;
   constexpr int LN = NW * 8;
@@ -57,92 +64,67 @@ void map_decode_batch_impl(std::size_t K, const std::int16_t* gs_step,
   const reg mq1 = V::mask(P.out_p_mask[1]);
   const reg lane0 = V::pattern(P.lane0_shuf);
 
-  // One normalized alpha step (identical op sequence to the windowed
-  // kernel and, per lane, to the scalar reference).
-  const auto alpha_step = [&](reg alpha, reg gsv, reg gpv) -> reg {
+  // ---- Forward pass (identical op sequence to the windowed kernel and,
+  // per lane, to the scalar reference) ------------------------------------
+  reg alpha = V::load(ainit);
+  for (std::size_t k = 0; k < K; ++k) {
+    V::store(alpha_ws + LN * k, alpha);
+    const reg gsv = V::spread(gs_step + k * NW);
+    const reg gpv = V::spread(gp_step + k * NW);
     const reg g0 = V::sat_add(V::and16(gsv, mu0), V::and16(gpv, mp0));
     const reg g1 = V::sat_add(V::and16(gsv, mu1), V::and16(gpv, mp1));
     const reg a0 = V::sat_add(V::shuffle(alpha, pred0), g0);
     const reg a1 = V::sat_add(V::shuffle(alpha, pred1), g1);
-    reg nxt = V::max16(a0, a1);
-    return V::sat_sub(nxt, V::shuffle(nxt, lane0));
-  };
-  const auto beta_step = [&](reg beta, reg gsv, reg gpv) -> reg {
-    const reg g0 = V::and16(gpv, mq0);
-    const reg g1 = V::sat_add(gsv, V::and16(gpv, mq1));
-    const reg b0 = V::sat_add(V::shuffle(beta, succ0), g0);
-    const reg b1 = V::sat_add(V::shuffle(beta, succ1), g1);
-    reg nb = V::max16(b0, b1);
-    return V::sat_sub(nb, V::shuffle(nb, lane0));
-  };
-
-  // ---- Forward pass -------------------------------------------------------
-  reg alpha = V::load(ainit);
-  if (!radix4) {
-    for (std::size_t k = 0; k < K; ++k) {
-      V::store(alpha_ws + LN * k, alpha);
-      alpha = alpha_step(alpha, V::spread(gs_step + k * NW),
-                         V::spread(gp_step + k * NW));
-    }
-  } else {
-    // K is divisible by 8 for every legal size, so pairs always align.
-    for (std::size_t k = 0; k < K; k += 2) {
-      V::store(alpha_ws + LN * (k / 2), alpha);
-      alpha = alpha_step(alpha, V::spread(gs_step + k * NW),
-                         V::spread(gp_step + k * NW));
-      alpha = alpha_step(alpha, V::spread(gs_step + (k + 1) * NW),
-                         V::spread(gp_step + (k + 1) * NW));
-    }
+    const reg nxt = V::max16(a0, a1);
+    alpha = V::sat_sub(nxt, V::shuffle(nxt, lane0));
   }
 
   // ---- Backward pass with extrinsic extraction ----------------------------
   reg beta = V::load(binit);
-  alignas(64) std::int16_t m0buf[LN];
-  alignas(64) std::int16_t m1buf[LN];
-  const auto extract = [&](std::size_t k, reg a, reg gpv) {
-    // u = 0 branches: gamma = p ? gp : 0 (matches scalar op order; gs
-    // cancels in the extrinsic).
-    reg t0 = V::sat_add(V::sat_add(a, V::shuffle(beta, succ0)),
-                        V::and16(gpv, mq0));
-    reg t1 = V::sat_add(V::sat_add(a, V::shuffle(beta, succ1)),
-                        V::and16(gpv, mq1));
-    // Per-group horizontal max (tree over byte shifts).
-    t0 = V::max16(t0, V::template bsrli<8>(t0));
-    t0 = V::max16(t0, V::template bsrli<4>(t0));
-    t0 = V::max16(t0, V::template bsrli<2>(t0));
-    t1 = V::max16(t1, V::template bsrli<8>(t1));
-    t1 = V::max16(t1, V::template bsrli<4>(t1));
-    t1 = V::max16(t1, V::template bsrli<2>(t1));
-    V::store(m0buf, t0);
-    V::store(m1buf, t1);
-    for (int g = 0; g < NW; ++g) {
-      ext[static_cast<std::size_t>(g) * ext_stride + k] =
-          sat_sub16(m1buf[g * 8], m0buf[g * 8]);
-    }
+  // Branch sums of step k for u = 0 and u = 1: gamma = p ? gp : 0,
+  // matching the scalar op order (gs cancels in the extrinsic). Then
+  // steps beta back across k.
+  struct BranchSums {
+    reg u0, u1;
   };
-
-  if (!radix4) {
-    for (std::size_t k = K; k-- > 0;) {
-      const reg a = V::load(alpha_ws + LN * k);
-      const reg gpv = V::spread(gp_step + k * NW);
-      extract(k, a, gpv);
-      beta = beta_step(beta, V::spread(gs_step + k * NW), gpv);
-    }
-  } else {
-    for (std::size_t k = K; k >= 2; k -= 2) {
-      const std::size_t ke = k - 2;  // even step of the pair
-      const reg a_even = V::load(alpha_ws + LN * (ke / 2));
-      const reg gse = V::spread(gs_step + ke * NW);
-      const reg gpe = V::spread(gp_step + ke * NW);
-      // Recompute the odd-step alpha exactly as the forward pass did.
-      const reg a_odd = alpha_step(a_even, gse, gpe);
-      const reg gso = V::spread(gs_step + (ke + 1) * NW);
-      const reg gpo = V::spread(gp_step + (ke + 1) * NW);
-      extract(ke + 1, a_odd, gpo);
-      beta = beta_step(beta, gso, gpo);
-      extract(ke, a_even, gpe);
-      beta = beta_step(beta, gse, gpe);
-    }
+  const auto step = [&](std::size_t k) {
+    const reg a = V::load(alpha_ws + LN * k);
+    const reg gpv = V::spread(gp_step + k * NW);
+    const reg g0 = V::and16(gpv, mq0);
+    const reg g1 = V::and16(gpv, mq1);
+    const reg q0 = V::shuffle(beta, succ0);
+    const reg q1 = V::shuffle(beta, succ1);
+    const BranchSums t{V::sat_add(V::sat_add(a, q0), g0),
+                       V::sat_add(V::sat_add(a, q1), g1)};
+    const reg b0 = V::sat_add(q0, g0);
+    const reg b1 =
+        V::sat_add(q1, V::sat_add(V::spread(gs_step + k * NW), g1));
+    const reg nb = V::max16(b0, b1);
+    beta = V::sat_sub(nb, V::shuffle(nb, lane0));
+    return t;
+  };
+  // Per lane group, 8 states of two consecutive steps -> 4 (lo, hi)
+  // pairs of partial maxima.
+  const auto fold_pair = [](reg lo, reg hi) {
+    return V::max16(V::unpacklo16(lo, hi), V::unpackhi16(lo, hi));
+  };
+  // Two folded pairs -> words 0-3 of each group = max over all 8 states
+  // of steps k0 .. k0 + 3.
+  const auto fold_quad = [](reg p01, reg p23) {
+    const reg m = V::max16(V::unpacklo32(p01, p23), V::unpackhi32(p01, p23));
+    return V::max16(m, V::template bsrli<8>(m));
+  };
+  for (std::size_t k0 = K; k0 > 0;) {
+    k0 -= 4;
+    const BranchSums s3 = step(k0 + 3);
+    const BranchSums s2 = step(k0 + 2);
+    const reg u0_23 = fold_pair(s2.u0, s3.u0);
+    const reg u1_23 = fold_pair(s2.u1, s3.u1);
+    const BranchSums s1 = step(k0 + 1);
+    const BranchSums s0 = step(k0);
+    const reg m0 = fold_quad(fold_pair(s0.u0, s1.u0), u0_23);
+    const reg m1 = fold_quad(fold_pair(s0.u1, s1.u1), u1_23);
+    V::store_steps4(ext_step + k0 * NW, V::sat_sub(m1, m0));
   }
 }
 

@@ -11,10 +11,9 @@ namespace vran::phy::turbo_internal {
 void map_decode_batch_sse(std::size_t K, const std::int16_t* gs_step,
                           const std::int16_t* gp_step,
                           const std::int16_t* ainit, const std::int16_t* binit,
-                          std::int16_t* ext, std::size_t ext_stride,
-                          std::int16_t* alpha_ws, bool radix4) {
-  map_decode_batch_impl<SseOps>(K, gs_step, gp_step, ainit, binit, ext,
-                                ext_stride, alpha_ws, radix4);
+                          std::int16_t* ext_step, std::int16_t* alpha_ws) {
+  map_decode_batch_impl<SseOps>(K, gs_step, gp_step, ainit, binit, ext_step,
+                                alpha_ws);
 }
 
 }  // namespace vran::phy::turbo_internal

@@ -48,6 +48,16 @@ struct Avx2Ops {
   static reg srai16(reg v) {
     return _mm256_srai_epi16(v, N);
   }
+  static reg unpacklo16(reg a, reg b) { return _mm256_unpacklo_epi16(a, b); }
+  static reg unpackhi16(reg a, reg b) { return _mm256_unpackhi_epi16(a, b); }
+  static reg unpacklo32(reg a, reg b) { return _mm256_unpacklo_epi32(a, b); }
+  static reg unpackhi32(reg a, reg b) { return _mm256_unpackhi_epi32(a, b); }
+  static void store_steps4(std::int16_t* p, reg v) {
+    // Interleave group 0's and group 1's four words: step-major pairs.
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
+                     _mm_unpacklo_epi16(_mm256_castsi256_si128(v),
+                                        _mm256_extracti128_si256(v, 1)));
+  }
 };
 
 }  // namespace vran::phy::turbo_internal

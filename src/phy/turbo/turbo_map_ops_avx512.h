@@ -44,6 +44,20 @@ struct Avx512Ops {
   static reg srai16(reg v) {
     return _mm512_srai_epi16(v, N);
   }
+  static reg unpacklo16(reg a, reg b) { return _mm512_unpacklo_epi16(a, b); }
+  static reg unpackhi16(reg a, reg b) { return _mm512_unpackhi_epi16(a, b); }
+  static reg unpacklo32(reg a, reg b) { return _mm512_unpacklo_epi32(a, b); }
+  static reg unpackhi32(reg a, reg b) { return _mm512_unpackhi_epi32(a, b); }
+  static void store_steps4(std::int16_t* p, reg v) {
+    // One word permute gathers word j of group g into slot j * 4 + g.
+    alignas(64) static constexpr std::int16_t kStepMajor[32] = {
+        0, 8, 16, 24, 1, 9, 17, 25, 2, 10, 18, 26, 3, 11, 19, 27,
+        0, 0, 0,  0,  0, 0, 0,  0,  0, 0,  0,  0,  0, 0,  0,  0};
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(p),
+        _mm512_castsi512_si256(
+            _mm512_permutexvar_epi16(_mm512_load_si512(kStepMajor), v)));
+  }
 };
 
 }  // namespace vran::phy::turbo_internal

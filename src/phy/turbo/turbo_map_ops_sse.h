@@ -36,6 +36,15 @@ struct SseOps {
   static reg srai16(reg v) {
     return _mm_srai_epi16(v, N);
   }
+  static reg unpacklo16(reg a, reg b) { return _mm_unpacklo_epi16(a, b); }
+  static reg unpackhi16(reg a, reg b) { return _mm_unpackhi_epi16(a, b); }
+  static reg unpacklo32(reg a, reg b) { return _mm_unpacklo_epi32(a, b); }
+  static reg unpackhi32(reg a, reg b) { return _mm_unpackhi_epi32(a, b); }
+  /// Words 0-3 of each lane group are four consecutive trellis steps;
+  /// store them step-major (`p[step * kWindows + group]`).
+  static void store_steps4(std::int16_t* p, reg v) {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p), v);
+  }
 };
 
 }  // namespace vran::phy::turbo_internal

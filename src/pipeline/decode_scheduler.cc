@@ -118,7 +118,7 @@ void DecodeScheduler::run(PipelineWorkspace& ws, ThreadPool* pool) {
       ++staged;
     }
     const std::size_t count = staged - first;
-    u.bdec = &ws.lane(i).batch_decoder(j0.k, spec, count > 1);
+    u.bdec = &ws.lane(i).batch_decoder(j0.k, spec);
     u.in = b_in.subspan(first, count);
     u.outs = b_outs.subspan(first, count);
     u.res = b_res.subspan(first, count);

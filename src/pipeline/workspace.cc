@@ -36,16 +36,14 @@ phy::TurboDecoder& CodecCache::decoder(int k, const DecoderSpec& spec) {
 }
 
 phy::TurboBatchDecoder& CodecCache::batch_decoder(int k,
-                                                  const DecoderSpec& spec,
-                                                  bool radix4) {
+                                                  const DecoderSpec& spec) {
   const BatchKey key{k, static_cast<int>(spec.isa), spec.max_iterations,
-                     spec.multi, radix4};
-  return batch_decoders_.get(key, [k, &spec, radix4] {
+                     spec.multi};
+  return batch_decoders_.get(key, [k, &spec] {
     phy::TurboBatchConfig bc;
     bc.max_iterations = spec.max_iterations;
     bc.crc = spec.multi ? phy::CrcType::k24B : phy::CrcType::k24A;
     bc.isa = spec.isa;
-    bc.radix4 = radix4;
     return std::make_unique<phy::TurboBatchDecoder>(k, bc);
   });
 }

@@ -111,11 +111,7 @@ class CodecCache {
   /// Batched-lane decoder (one code block per SIMD lane group); keyed
   /// without the arrangement method — batched decode consumes already-
   /// arranged streams, so the arrangement mechanism never touches it.
-  /// `radix4` selects the fused two-step trellis kernel: it pays on
-  /// multi-lane-group tiers (halved alpha spill traffic) but costs a few
-  /// percent at one lane group, so the caller picks it per group size.
-  phy::TurboBatchDecoder& batch_decoder(int k, const DecoderSpec& spec,
-                                        bool radix4);
+  phy::TurboBatchDecoder& batch_decoder(int k, const DecoderSpec& spec);
 
   struct Stats {
     std::size_t encoders = 0;
@@ -127,8 +123,8 @@ class CodecCache {
 
  private:
   using DecoderKey = std::tuple<int, int, int, int, bool>;
-  /// k, isa, iters, multi, radix4
-  using BatchKey = std::tuple<int, int, int, bool, bool>;
+  /// k, isa, iters, multi
+  using BatchKey = std::tuple<int, int, int, bool>;
   LruCodecMap<int, phy::TurboEncoder> encoders_;
   LruCodecMap<int, phy::RateMatcher> matchers_;
   LruCodecMap<DecoderKey, phy::TurboDecoder> decoders_;

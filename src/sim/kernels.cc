@@ -249,6 +249,66 @@ Trace trace_turbo_ext(IsaLevel isa, int k) {
   return t;
 }
 
+Trace trace_turbo_ext_batch(IsaLevel isa, int k) {
+  Trace t;
+  t.register_bits = register_bits(isa);
+  t.working_set_bytes = static_cast<std::size_t>(k) * 2 * 10;
+  const int nw = lanes_of(isa) / 8;
+  const std::uint16_t rb = static_cast<std::uint16_t>(reg_bytes(isa));
+  std::int32_t beta = t.emit(UopClass::kVecAlu);
+  // Per branch, 4 steps' sums -> one register: unpacklo/hi_epi16 on two
+  // pairs, unpacklo/hi_epi32 on the results, one 8-byte shift, 4 max.
+  const auto reduce4 = [&t](const std::int32_t s[4]) {
+    std::int32_t pair[2];
+    for (int p = 0; p < 2; ++p) {
+      const std::int32_t lo = t.emit(UopClass::kVecShuffle, s[2 * p],
+                                     s[2 * p + 1]);
+      const std::int32_t hi = t.emit(UopClass::kVecShuffle, s[2 * p],
+                                     s[2 * p + 1]);
+      pair[p] = t.emit(UopClass::kVecAlu, lo, hi);
+    }
+    const std::int32_t lo = t.emit(UopClass::kVecShuffle, pair[0], pair[1]);
+    const std::int32_t hi = t.emit(UopClass::kVecShuffle, pair[0], pair[1]);
+    const std::int32_t m = t.emit(UopClass::kVecAlu, lo, hi);
+    const std::int32_t sh = t.emit(UopClass::kVecShuffle, m);
+    return t.emit(UopClass::kVecAlu, m, sh);
+  };
+  for (int s0 = 0; s0 < k; s0 += 4) {
+    std::int32_t t0[4];
+    std::int32_t t1[4];
+    for (int j = 0; j < 4; ++j) {
+      const std::int32_t a = t.emit(UopClass::kLoad, -1, -1, rb);  // alpha_k
+      const std::int32_t gp = t.emit(UopClass::kLoad, -1, -1, 2);
+      const std::int32_t gs = t.emit(UopClass::kLoad, -1, -1, 2);
+      const std::int32_t g0 = t.emit(UopClass::kVecAlu, gp);  // pand
+      const std::int32_t g1 = t.emit(UopClass::kVecAlu, gp);
+      const std::int32_t q0 = t.emit(UopClass::kVecShuffle, beta);
+      const std::int32_t q1 = t.emit(UopClass::kVecShuffle, beta);
+      t0[j] = t.emit(UopClass::kVecAlu, t.emit(UopClass::kVecAlu, a, q0), g0);
+      t1[j] = t.emit(UopClass::kVecAlu, t.emit(UopClass::kVecAlu, a, q1), g1);
+      // Beta step, sharing the successor shuffles.
+      const std::int32_t b0 = t.emit(UopClass::kVecAlu, q0, g0);
+      const std::int32_t b1 =
+          t.emit(UopClass::kVecAlu, q1, t.emit(UopClass::kVecAlu, gs, g1));
+      const std::int32_t mx = t.emit(UopClass::kVecAlu, b0, b1);
+      const std::int32_t bc = t.emit(UopClass::kVecShuffle, mx);
+      beta = t.emit(UopClass::kVecAlu, mx, bc);
+    }
+    const std::int32_t m0 = reduce4(t0);
+    const std::int32_t m1 = reduce4(t1);
+    std::int32_t ext = t.emit(UopClass::kVecAlu, m1, m0);  // psubsw
+    // Step-major store: AVX2 merges its two groups with an extract and
+    // an unpack, AVX-512 its four with one word permute.
+    if (nw == 2) {
+      ext = t.emit(UopClass::kVecShuffle, t.emit(UopClass::kVecShuffle, ext));
+    } else if (nw == 4) {
+      ext = t.emit(UopClass::kVecShuffle, ext);
+    }
+    t.emit(UopClass::kStore, ext, -1, static_cast<std::uint16_t>(8 * nw));
+  }
+  return t;
+}
+
 namespace {
 
 void append(Trace& dst, const Trace& src) {
@@ -289,10 +349,12 @@ Trace trace_turbo_decode(IsaLevel isa, int k, int iterations,
 Trace trace_turbo_decode_batch(IsaLevel isa, int k, int iterations) {
   // One code block per 8-state lane group: the gamma/alpha/beta/ext
   // recursions execute the full K trellis steps regardless of register
-  // width (each sub-trace emits k'/nw steps, so feed k*nw to pin the
-  // step count at k), and the batch amortizes that cost over nw blocks.
-  // No arrangement twin here — the batched decoder consumes pre-arranged
-  // streams; its transpose is folded into the gamma-phase loads.
+  // width (the windowed gamma and alpha/beta twins emit k'/nw steps, so
+  // feed them k*nw to pin the step count at k), and the batch amortizes
+  // that cost over nw blocks. The extrinsic twin is the batch kernel's
+  // own, four steps per transpose tree and store. No arrangement twin
+  // here: the batched decoder consumes pre-arranged streams and keeps
+  // its state step-major.
   const int nw = lanes_of(isa) / 8;
   Trace t;
   t.register_bits = register_bits(isa);
@@ -300,7 +362,7 @@ Trace trace_turbo_decode_batch(IsaLevel isa, int k, int iterations) {
     for (int half = 0; half < 2; ++half) {
       append(t, trace_turbo_gamma(isa, k * nw));
       append(t, trace_turbo_alpha_beta(isa, k * nw));
-      append(t, trace_turbo_ext(isa, k * nw));
+      append(t, trace_turbo_ext_batch(isa, k));
     }
   }
   // Working set: the alpha spill keeps one full-width register per

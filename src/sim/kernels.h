@@ -40,6 +40,11 @@ Trace trace_turbo_gamma(IsaLevel isa, int k);
 Trace trace_turbo_alpha_beta(IsaLevel isa, int k);
 /// Extrinsic extraction (adds + horizontal-max trees + scatter stores).
 Trace trace_turbo_ext(IsaLevel isa, int k);
+/// Batched-lane extrinsic extraction over K steps of every lane group:
+/// per step the branch sums and the beta step, per 4 steps and branch
+/// one unpack/max transpose tree, then one subtract and one step-major
+/// store of the 4 x NW extrinsics (turbo_batch_impl.h).
+Trace trace_turbo_ext_batch(IsaLevel isa, int k);
 /// Full decode: arrangement + `iterations` x 2 constituent passes.
 Trace trace_turbo_decode(IsaLevel isa, int k, int iterations,
                          arrange::Method method);

@@ -43,8 +43,7 @@ TEST_P(HwKernels, EveryFactoryRunsOnce) {
       runs.push_back(wl_arrange(method, isa, arrange::Order::kCanonical, n));
       runs.push_back(wl_turbo_decode(isa, k, 1, method));
     }
-    runs.push_back(wl_turbo_decode_batch(isa, k, 1, /*radix4=*/false));
-    runs.push_back(wl_turbo_decode_batch(isa, k, 1, /*radix4=*/true));
+    runs.push_back(wl_turbo_decode_batch(isa, k, 1));
     runs.push_back(wl_ofdm_rx(isa, 512, 1));
     runs.push_back(wl_ofdm_tx(isa, 512, 1));
   }

@@ -3,6 +3,8 @@
 // characteristics (extract vs APCM).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/kernels.h"
 #include "sim/machine.h"
 #include "sim/port_sim.h"
@@ -289,6 +291,52 @@ TEST(ModuleTraces, TurboDecodeDominatedByBackendOnWimpy) {
   const auto td = wimpy_sim().run(
       trace_turbo_decode(IsaLevel::kSse41, 6144, 4, arrange::Method::kExtract));
   EXPECT_GT(td.backend, 0.3);  // paper: >50% incl. memory effects
+}
+
+std::size_t count_uops(const Trace& t, UopClass cls) {
+  return static_cast<std::size_t>(std::count_if(
+      t.uops.begin(), t.uops.end(),
+      [cls](const Uop& u) { return u.cls == cls; }));
+}
+
+TEST(ModuleTraces, BatchExtrinsicsLeaveFourStepsPerStore) {
+  // Pinned per trellis step. The batched twin (turbo_batch_impl.h): 3
+  // shuffles per step for the beta step, 14 per 4 steps for the two
+  // transpose trees, plus the step-major merge (AVX2 2, AVX-512 1), and
+  // one store of the 4 x NW extrinsics per 4 steps. The windowed twin
+  // keeps its per-step 3-level trees (11 shuffles per window step) and
+  // one 2-byte store per window.
+  const int k = 512;
+  const struct {
+    IsaLevel isa;
+    double shuffles_per_step;
+  } pins[] = {{IsaLevel::kSse41, 6.5}, {IsaLevel::kAvx2, 7.0},
+              {IsaLevel::kAvx512, 6.75}};
+  for (const auto& pin : pins) {
+    const int nw = lanes_of(pin.isa) / 8;
+    const auto b = trace_turbo_ext_batch(pin.isa, k);
+    EXPECT_DOUBLE_EQ(
+        static_cast<double>(count_uops(b, UopClass::kVecShuffle)) / k,
+        pin.shuffles_per_step)
+        << isa_name(pin.isa);
+    EXPECT_EQ(count_uops(b, UopClass::kStore), static_cast<std::size_t>(k / 4));
+    EXPECT_EQ(count_uops(b, UopClass::kStoreNarrow), 0u);
+    for (const Uop& u : b.uops) {
+      if (u.cls == UopClass::kStore) {
+        EXPECT_EQ(u.bytes, 8 * nw);
+      }
+    }
+    EXPECT_EQ(count_uops(trace_turbo_decode_batch(pin.isa, k, 1),
+                         UopClass::kStoreNarrow),
+              0u);
+
+    const auto w = trace_turbo_ext(pin.isa, k);
+    const std::size_t window_steps = static_cast<std::size_t>(k / nw);
+    EXPECT_EQ(count_uops(w, UopClass::kVecShuffle), 11 * window_steps);
+    EXPECT_EQ(count_uops(w, UopClass::kStoreNarrow),
+              static_cast<std::size_t>(k));
+    EXPECT_EQ(count_uops(w, UopClass::kStore), 0u);
+  }
 }
 
 TEST(ModuleTraces, LanesMatchRegisterWidth) {

@@ -91,8 +91,7 @@ int main(int argc, char** argv) {
     if (isa > best_isa()) continue;
     rows.push_back({"turbo_decode_batch", isa,
                     trace_turbo_decode_batch(isa, k, 4),
-                    bench::hw::wl_turbo_decode_batch(isa, k, 4,
-                                                     /*radix4=*/false)});
+                    bench::hw::wl_turbo_decode_batch(isa, k, 4)});
   }
   rows.push_back({"turbo_encode", IsaLevel::kSse41, trace_turbo_encode(k),
                   bench::hw::wl_turbo_encode(k)});
