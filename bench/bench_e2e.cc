@@ -32,9 +32,6 @@
 //
 // Flags: --ttis N (default 300)  --flows N (default 4)
 //        --payload BYTES (default 1500)  --json PATH  --hw
-//        --no-batch  (disable batched-lane turbo decoding — the control
-//                     for batched-vs-windowed comparisons; recorded as
-//                     "batch_decode" in the JSON)
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -53,13 +50,6 @@
 using namespace vran;
 
 namespace {
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 
 int int_flag(int argc, char** argv, const char* name, int def) {
   const std::size_t len = std::strlen(name);
@@ -110,7 +100,7 @@ std::vector<std::string> pmu_stage_names(const obs::Snapshot& snap) {
 }
 
 ConfigResult run_config(IsaLevel isa, int workers, int ttis, int flows,
-                        int payload, bool hw, bool batch) {
+                        int payload, bool hw) {
   ConfigResult out;
   out.isa = isa;
   out.workers = workers;
@@ -125,7 +115,6 @@ ConfigResult run_config(IsaLevel isa, int workers, int ttis, int flows,
   for (int f = 0; f < flows; ++f) {
     auto& cfg = cfgs[static_cast<std::size_t>(f)];
     cfg.isa = isa;
-    cfg.batch_decode = batch;
     cfg.rnti = static_cast<std::uint16_t>(0x1000 + f);
     cfg.noise_seed = 7u + static_cast<std::uint64_t>(f);
     // Latency comes from wall-clock samples below; the private registry
@@ -167,19 +156,10 @@ ConfigResult run_config(IsaLevel isa, int workers, int ttis, int flows,
     const auto& sa = runner.decode_scheduler()->stats();
     out.sched.blocks = sa.blocks - sched_before.blocks;
     out.sched.batch_groups = sa.batch_groups - sched_before.batch_groups;
-    out.sched.windowed_blocks =
-        sa.windowed_blocks - sched_before.windowed_blocks;
+    out.sched.mixed_groups = sa.mixed_groups - sched_before.mixed_groups;
     out.sched.lanes_filled = sa.lanes_filled - sched_before.lanes_filled;
     out.sched.lanes_available =
         sa.lanes_available - sched_before.lanes_available;
-    out.sched.smallk_rerouted =
-        sa.smallk_rerouted - sched_before.smallk_rerouted;
-    for (const auto& [k, groups] : sa.groups_per_k) {
-      const auto it = sched_before.groups_per_k.find(k);
-      const std::uint64_t base =
-          it == sched_before.groups_per_k.end() ? 0 : it->second;
-      if (groups > base) out.sched.groups_per_k[k] = groups - base;
-    }
   }
 
   std::sort(samples.begin(), samples.end());
@@ -223,18 +203,17 @@ ConfigResult run_config(IsaLevel isa, int workers, int ttis, int flows,
 }
 
 std::string to_json(const std::vector<ConfigResult>& rows, int ttis,
-                    int flows, int payload, bool batch) {
+                    int flows, int payload) {
   std::string j;
   char buf[256];
   j += "{\n  \"schema\": \"vran-bench-e2e-v1\",\n";
   j += "  \"meta\": " + bench::meta_json() + ",\n";
   std::snprintf(buf, sizeof(buf),
                 "  \"host_best_isa\": \"%s\",\n  \"alloc_counting\": %s,\n"
-                "  \"batch_decode\": %s,\n"
                 "  \"ttis\": %d,\n  \"flows\": %d,\n  \"payload_bytes\": %d,\n",
                 isa_name(best_isa()),
-                alloc_stats::interposed() ? "true" : "false",
-                batch ? "true" : "false", ttis, flows, payload);
+                alloc_stats::interposed() ? "true" : "false", ttis, flows,
+                payload);
   j += buf;
   j += "  \"configs\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -258,22 +237,12 @@ std::string to_json(const std::vector<ConfigResult>& rows, int ttis,
     std::snprintf(buf, sizeof(buf),
                   ",\n     \"decode_sched\": {\"batch_fill\": %.4f, "
                   "\"blocks\": %llu, \"batch_groups\": %llu, "
-                  "\"windowed_blocks\": %llu, \"smallk_rerouted\": %llu, "
-                  "\"groups_per_k\": {",
+                  "\"mixed_groups\": %llu}",
                   r.sched.fill(),
                   static_cast<unsigned long long>(r.sched.blocks),
                   static_cast<unsigned long long>(r.sched.batch_groups),
-                  static_cast<unsigned long long>(r.sched.windowed_blocks),
-                  static_cast<unsigned long long>(r.sched.smallk_rerouted));
+                  static_cast<unsigned long long>(r.sched.mixed_groups));
     j += buf;
-    bool first_k = true;
-    for (const auto& [k, groups] : r.sched.groups_per_k) {
-      std::snprintf(buf, sizeof(buf), "%s\"%d\": %llu", first_k ? "" : ", ",
-                    k, static_cast<unsigned long long>(groups));
-      j += buf;
-      first_k = false;
-    }
-    j += "}}";
     if (r.hw) {
       std::snprintf(buf, sizeof(buf), ",\n     \"pmu\": {\"available\": %s, "
                     "\"stages\": {",
@@ -312,7 +281,6 @@ int main(int argc, char** argv) {
   const int payload = int_flag(argc, argv, "--payload", 1500);
   const std::string json_path = bench::json_out_path(argc, argv);
   const bool hw = bench::hw_flag(argc, argv);
-  const bool batch = !has_flag(argc, argv, "--no-batch");
 
   std::vector<IsaLevel> isas{IsaLevel::kScalar};
   for (const IsaLevel isa :
@@ -320,11 +288,9 @@ int main(int argc, char** argv) {
     if (isa <= best_isa()) isas.push_back(isa);
   }
 
-  std::printf("bench_e2e: %d TTIs x %d flows, %dB payload, counting=%s, "
-              "batch_decode=%s\n",
+  std::printf("bench_e2e: %d TTIs x %d flows, %dB payload, counting=%s\n",
               ttis, flows, payload,
-              alloc_stats::interposed() ? "on" : "OFF (sanitizer build?)",
-              batch ? "on" : "off");
+              alloc_stats::interposed() ? "on" : "OFF (sanitizer build?)");
   if (hw) {
     std::printf("hardware counters: %s\n", obs::pmu_status_string());
   }
@@ -336,7 +302,7 @@ int main(int argc, char** argv) {
   for (const IsaLevel isa : isas) {
     double serial_allocs = 0;  // exact; see header comment
     for (const int workers : {1, 4}) {
-      auto r = run_config(isa, workers, ttis, flows, payload, hw, batch);
+      auto r = run_config(isa, workers, ttis, flows, payload, hw);
       if (workers == 1) {
         serial_allocs = r.allocs_per_tti;
       } else {
@@ -346,12 +312,10 @@ int main(int argc, char** argv) {
                   isa_name(isa), workers, r.p50_us, r.p99_us, r.mean_us,
                   r.allocs_per_tti, r.crc_ok_rate);
       if (r.sched.batch_groups > 0) {
-        std::printf("    sched fill=%.0f%% groups=%llu windowed=%llu "
-                    "rerouted=%llu\n",
+        std::printf("    sched fill=%.0f%% groups=%llu mixed=%llu\n",
                     100 * r.sched.fill(),
                     static_cast<unsigned long long>(r.sched.batch_groups),
-                    static_cast<unsigned long long>(r.sched.windowed_blocks),
-                    static_cast<unsigned long long>(r.sched.smallk_rerouted));
+                    static_cast<unsigned long long>(r.sched.mixed_groups));
       }
       if (hw && !r.pmu_stages.empty()) {
         for (const auto& [name, m] : r.pmu_stages) {
@@ -366,6 +330,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::write_json(json_path, to_json(rows, ttis, flows, payload, batch));
+  bench::write_json(json_path, to_json(rows, ttis, flows, payload));
   return 0;
 }

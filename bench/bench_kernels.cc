@@ -4,6 +4,9 @@
 // with statistically-managed per-kernel numbers.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "arrange/arrange.h"
 #include "bench/hw_kernels.h"
 #include "common/aligned.h"
@@ -107,6 +110,36 @@ void BM_TurboBatchDecode(benchmark::State& state, IsaLevel isa) {
       phy::TurboBatchDecoder::lane_capacity(isa) * k);
 }
 
+// One mixed-K set of four blocks, K {5056, 3520, 2016, 1024}, decoded
+// in K-descending groups of lane_capacity(isa) as the decode scheduler
+// packs them, range(0) forced iterations; items are decoded information
+// bits.
+void BM_TurboBatchDecodeMixed(benchmark::State& state, IsaLevel isa) {
+  if (isa > best_isa()) {
+    state.SkipWithError("ISA unavailable");
+    return;
+  }
+  const int iterations = static_cast<int>(state.range(0));
+  const std::vector<int> ks = {5056, 3520, 2016, 1024};
+  const auto cap =
+      static_cast<std::size_t>(phy::TurboBatchDecoder::lane_capacity(isa));
+  std::vector<bench::hw::Workload> groups;
+  for (std::size_t g = 0; g < ks.size(); g += cap) {
+    groups.push_back(bench::hw::wl_turbo_decode_group(
+        isa,
+        std::vector<int>(ks.begin() + static_cast<std::ptrdiff_t>(g),
+                         ks.begin() + static_cast<std::ptrdiff_t>(
+                                          std::min(g + cap, ks.size()))),
+        iterations));
+  }
+  for (auto _ : state) {
+    for (const auto& decode : groups) decode();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (5056 + 3520 + 2016 + 1024));
+}
+
 void BM_VecSatAdd(benchmark::State& state, IsaLevel isa) {
   if (isa != IsaLevel::kScalar && isa > best_isa()) {
     state.SkipWithError("ISA unavailable");
@@ -178,6 +211,13 @@ BENCHMARK_CAPTURE(BM_TurboBatchDecode, avx256, IsaLevel::kAvx2)
     ->Arg(4160)->Arg(6144);
 BENCHMARK_CAPTURE(BM_TurboBatchDecode, avx512, IsaLevel::kAvx512)
     ->Arg(4160)->Arg(6144);
+
+BENCHMARK_CAPTURE(BM_TurboBatchDecodeMixed, avx256, IsaLevel::kAvx2)
+    ->Arg(1)
+    ->Arg(6);
+BENCHMARK_CAPTURE(BM_TurboBatchDecodeMixed, avx512, IsaLevel::kAvx512)
+    ->Arg(1)
+    ->Arg(6);
 
 BENCHMARK_CAPTURE(BM_VecSatAdd, sse128, IsaLevel::kSse41)->Arg(65536);
 BENCHMARK_CAPTURE(BM_VecSatAdd, avx512, IsaLevel::kAvx512)->Arg(65536);

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <random>
 #include <span>
 #include <vector>
@@ -115,26 +116,26 @@ inline Workload wl_turbo_decode(IsaLevel isa, int k, int iterations,
   };
 }
 
-/// Batched-lane turbo decode: lane_capacity(isa) same-K blocks, one per
-/// 8-state lane group, `iterations` full MAP iterations (forced — no
-/// early exit, so cycles are noise-independent). Counters cover
-/// decode_arranged() wholesale: batch transpose + recursions + hard
-/// decisions. Divide by lane_capacity(isa) for per-block numbers.
-inline Workload wl_turbo_decode_batch(IsaLevel isa, int k, int iterations) {
-  const int nb = phy::TurboBatchDecoder::lane_capacity(isa);
-  const std::size_t kt = static_cast<std::size_t>(k) + phy::kTurboTail;
+/// Batched-lane turbo decode of one group: one block per size in `ks`
+/// (at most lane_capacity(isa), any mix of K, right-aligned by the
+/// decoder), one per 8-state lane group, `iterations` full MAP
+/// iterations (forced — no early exit, so cycles are noise-independent).
+/// Counters cover decode_arranged() wholesale: batch transpose +
+/// recursions + interleaver + hard decisions.
+inline Workload wl_turbo_decode_group(IsaLevel isa, std::vector<int> ks,
+                                      int iterations) {
+  const std::size_t nb = ks.size();
   auto streams =
       std::make_shared<std::vector<AlignedVector<std::int16_t>>>();
   auto inputs = std::make_shared<std::vector<phy::TurboBatchInput>>();
-  auto outs = std::make_shared<std::vector<std::vector<std::uint8_t>>>(
-      static_cast<std::size_t>(nb));
+  auto outs = std::make_shared<std::vector<std::vector<std::uint8_t>>>(nb);
   auto out_spans = std::make_shared<std::vector<std::span<std::uint8_t>>>();
-  auto results = std::make_shared<std::vector<phy::TurboBatchResult>>(
-      static_cast<std::size_t>(nb));
-  auto force = std::make_shared<std::vector<std::uint8_t>>(
-      static_cast<std::size_t>(nb), std::uint8_t{1});
-  streams->reserve(static_cast<std::size_t>(3 * nb));
-  for (int b = 0; b < nb; ++b) {
+  auto results = std::make_shared<std::vector<phy::TurboBatchResult>>(nb);
+  auto force = std::make_shared<std::vector<std::uint8_t>>(nb, std::uint8_t{1});
+  streams->reserve(3 * nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    const int k = ks[b];
+    const std::size_t kt = static_cast<std::size_t>(k) + phy::kTurboTail;
     std::vector<std::uint8_t> bits(static_cast<std::size_t>(k));
     fill_bits(bits, 0x7D2u + static_cast<std::uint32_t>(b));
     const auto cw = phy::TurboEncoder(k).encode(bits);
@@ -145,23 +146,34 @@ inline Workload wl_turbo_decode_batch(IsaLevel isa, int k, int iterations) {
         v[i] = d[s][i] ? std::int16_t{-40} : std::int16_t{40};
       }
     }
-    (*outs)[static_cast<std::size_t>(b)].resize(static_cast<std::size_t>(k));
+    (*outs)[b].resize(static_cast<std::size_t>(k));
   }
-  for (int b = 0; b < nb; ++b) {
-    inputs->push_back({(*streams)[static_cast<std::size_t>(3 * b)],
-                       (*streams)[static_cast<std::size_t>(3 * b + 1)],
-                       (*streams)[static_cast<std::size_t>(3 * b + 2)]});
-    out_spans->emplace_back((*outs)[static_cast<std::size_t>(b)]);
+  for (std::size_t b = 0; b < nb; ++b) {
+    inputs->push_back({(*streams)[3 * b], (*streams)[3 * b + 1],
+                       (*streams)[3 * b + 2]});
+    out_spans->emplace_back((*outs)[b]);
   }
   phy::TurboBatchConfig cfg;
   cfg.isa = isa;
   cfg.max_iterations = iterations;
-  auto dec = std::make_shared<phy::TurboBatchDecoder>(k, cfg);
+  auto dec = std::make_shared<phy::TurboBatchDecoder>(
+      *std::max_element(ks.begin(), ks.end()), cfg);
   // inputs and out_spans are views into streams and outs: the closure
   // must own those too, or the views dangle once this factory returns.
   return [dec, streams, inputs, outs, out_spans, results, force] {
     dec->decode_arranged(*inputs, *out_spans, *results, *force);
   };
+}
+
+/// lane_capacity(isa) same-K blocks in one group. Divide by
+/// lane_capacity(isa) for per-block numbers.
+inline Workload wl_turbo_decode_batch(IsaLevel isa, int k, int iterations) {
+  return wl_turbo_decode_group(
+      isa,
+      std::vector<int>(static_cast<std::size_t>(
+                           phy::TurboBatchDecoder::lane_capacity(isa)),
+                       k),
+      iterations);
 }
 
 /// Turbo encode of one size-k block.

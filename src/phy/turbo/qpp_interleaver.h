@@ -29,6 +29,26 @@ struct QppCoefficients {
 };
 QppCoefficients qpp_coefficients(int k);
 
+/// Pi and its inverse for a legal K into caller storage of at least K
+/// entries each, allocation-free, by the incremental recurrence
+///   Pi(i+1) = Pi(i) + g(i),  g(i+1) = g(i) + 2*f2  (both mod K),
+/// with Pi(0) = 0 and g(0) = f1 + f2. Throws like qpp_coefficients.
+template <typename Index>
+void qpp_tables(int k, Index* pi, Index* inv) {
+  const auto [f1, f2] = qpp_coefficients(k);
+  const int dg = (2 * f2) % k;
+  int p = 0;
+  int g = (f1 + f2) % k;
+  for (int i = 0; i < k; ++i) {
+    pi[i] = static_cast<Index>(p);
+    inv[p] = static_cast<Index>(i);
+    p += g;
+    if (p >= k) p -= k;
+    g += dg;
+    if (g >= k) g -= k;
+  }
+}
+
 /// Precomputed permutation and its inverse for one block size.
 class QppInterleaver {
  public:
@@ -40,9 +60,6 @@ class QppInterleaver {
   /// of the original — interleaved[i] = original[pi(i)].
   int pi(int i) const { return pi_[static_cast<std::size_t>(i)]; }
   int pi_inverse(int i) const { return inv_[static_cast<std::size_t>(i)]; }
-
-  std::span<const int> table() const { return pi_; }
-  std::span<const int> inverse_table() const { return inv_; }
 
   /// Apply: out[i] = in[pi(i)].
   template <typename T>

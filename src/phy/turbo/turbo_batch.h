@@ -1,6 +1,6 @@
-// Batched-lane turbo decoder: B same-K code blocks decoded in parallel,
-// one code block per 8-state SIMD lane group (1 block at SSE, 2 at AVX2,
-// 4 at AVX-512).
+// Batched-lane turbo decoder: up to B code blocks decoded in parallel,
+// one code block per 8-state SIMD lane group (1 block at scalar and SSE,
+// 2 at AVX2, 4 at AVX-512). It is the only decode route of the pipeline.
 //
 // The windowed decoder (turbo_decoder.h) widens by splitting ONE block
 // into register lanes, which forces approximate equal-metric window
@@ -8,34 +8,46 @@
 // lane group carries a whole trellis with its exact boundary metrics
 // (alpha from the known zero start state, beta trained from that block's
 // own termination tails), so the batched output is bit-identical to the
-// SSE single-block decoder at every register width.
+// single-block decoder at every register width, and to the scalar
+// reference, which the scalar tier runs in its one lane.
+//
+// The decoder is K-agnostic: it accepts any legal K up to the
+// constructor's k_max, and one call may mix block sizes. The blocks of a
+// call are right-aligned on the longest one: a block of K_b steps
+// occupies steps [K - K_b, K) of the K-step lane streams, with padding
+// before it (turbo_batch_impl.h). Every legal K is a multiple of 8, so
+// each start step keeps the four-step extrinsic rounds and the
+// eight-step hard-decision rounds.
 //
 // Early termination is per-lane voting: a block that passes its CRC (or
 // repeats its hard decisions) freezes its output and stops contributing
 // CRC checks, but its lanes keep riding along at full width — until at
 // least half the batch has converged, at which point the survivors are
 // compacted into the narrowest kernel that still covers them
-// (4 -> 2 -> 1 lane groups) and the freed width is retired.
+// (4 -> 2 -> 1 lane groups), re-aligned on the longest survivor, and
+// the freed width and steps are retired.
 //
 // The per-iteration state (systematic, interleaved systematic, a-priori,
 // gamma and extrinsic streams) is kept step-major for the current lane
 // assignment, `x[step * NW + lane]`, which is the layout the MAP kernels
-// read and write. The QPP interleaver then moves all NW lanes of a step
-// with one 2-, 4- or 8-byte copy, and no transposes run per iteration;
-// a compaction re-packs the carried state once.
+// read and write. Adjacent lanes whose blocks share K form a run, and
+// the QPP interleaver moves all lanes of a run with one copy per step
+// (2 to 8 bytes): a same-K group is one run of NW lanes, and a mixed
+// group sorted by K needs one run per distinct K. A compaction re-packs
+// the carried state once.
 //
-// Decoding is allocation-free: all workspaces are sized for capacity()
-// blocks at construction.
+// Decoding is allocation-free: all workspaces, the QPP tables included,
+// are sized for capacity() blocks of k_max at construction.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "common/aligned.h"
 #include "common/cpu_features.h"
 #include "phy/crc/crc.h"
-#include "phy/turbo/qpp_interleaver.h"
 #include "phy/turbo/turbo_encoder.h"
 
 namespace vran::phy {
@@ -63,40 +75,25 @@ struct TurboBatchInput {
   std::span<const std::int16_t> sys, p1, p2;
 };
 
-/// Minimum trellis steps per register window for the windowed
-/// (single-block) decoder's equal-metric boundary approximation to be
-/// trusted. Below this the windows have too little run-in to converge
-/// and can corrupt even noiseless blocks — fuzzing caught windowed
-/// AVX-512 failing a clean K=816 block (204 steps/window) at MCS 28,
-/// where heavy rate-matching puncturing starves the boundaries further.
-/// 256 covers that observed failure with margin; blocks under the
-/// threshold must be decoded by a batched-lane kernel instead (exact
-/// full-K recursions at any width).
-constexpr int kMinWindowSteps = 256;
-
-/// True when windowed decoding of a K=`k` block at `isa` would run an
-/// approximate multi-window kernel (NW > 1, i.e. AVX2/AVX-512) with
-/// fewer than kMinWindowSteps trellis steps per window. Such blocks are
-/// rerouted to TurboBatchDecoder by the pipeline's decode scheduler.
-bool windowed_window_too_short(int k, IsaLevel isa);
-
 class TurboBatchDecoder {
  public:
-  explicit TurboBatchDecoder(int k, TurboBatchConfig cfg = {});
+  /// `k_max`: the longest block (a legal QPP size) the decoder accepts.
+  explicit TurboBatchDecoder(int k_max, TurboBatchConfig cfg = {});
 
   /// Blocks decodable per call at `isa`: 1 (scalar/SSE), 2 (AVX2),
   /// 4 (AVX-512).
   static int lane_capacity(IsaLevel isa);
 
-  int block_size() const { return k_; }
+  int max_block_size() const { return k_max_; }
   int capacity() const { return capacity_; }
   const TurboBatchConfig& config() const { return cfg_; }
 
-  /// Decode `blocks.size()` (<= capacity()) same-K blocks. `outs[b]`
-  /// receives block b's K hard decisions; `results[b]` its per-block
-  /// iteration count / CRC state. `force_full[b]` (optional, fault
-  /// injection) disables that block's CRC-stop and repeat-detection
-  /// exits so it burns every configured iteration.
+  /// Decode `blocks.size()` (<= capacity()) blocks of any legal K up to
+  /// max_block_size(), each K taken from its input spans (K+4 values).
+  /// `outs[b]` receives block b's K hard decisions; `results[b]` its
+  /// per-block iteration count / CRC state. `force_full[b]` (optional,
+  /// fault injection) disables that block's CRC-stop and
+  /// repeat-detection exits so it burns every configured iteration.
   void decode_arranged(std::span<const TurboBatchInput> blocks,
                        std::span<const std::span<std::uint8_t>> outs,
                        std::span<TurboBatchResult> results,
@@ -105,21 +102,29 @@ class TurboBatchDecoder {
  private:
   static constexpr int kMaxLanes = 4;
 
-  int k_;
+  int k_max_;
   int capacity_;
   TurboBatchConfig cfg_;
-  QppInterleaver interleaver_;
 
-  // Step-major workspaces for the current lane assignment, K * NW values
-  // each (sized for capacity() lanes). Streams of the current blocks:
+  // Step-major workspaces for the current lane assignment, k_max * NW
+  // values each (sized for capacity() lanes). Streams of the current
+  // blocks:
   AlignedVector<std::int16_t> tsys_, tsys2_, tp1_, tp2_;
   // Carried a-priori (apr1_, natural order) and per-half-iteration
   // buffers: apr2_ (interleaved order), gamma-systematic and extrinsics.
   AlignedVector<std::int16_t> apr1_, apr2_, gs_, ext_;
   AlignedVector<std::int16_t> alpha_ws_;
-  AlignedVector<std::int16_t> zeros_;  ///< source for unused lanes
-  // Per-block hard decisions in natural order, K bytes per block.
+  AlignedVector<std::int16_t> zeros_;  ///< k_max zeros: unused lanes' input
+  // Per-block hard decisions in natural order, k_max bytes per block.
   std::vector<std::uint8_t> hard_, hard_prev_;
+  // QPP permutation and inverse tables, k_max entries each, one pair per
+  // entry e: table_k_[e] is the K it holds (0: none), table_use_[e] the
+  // call that last used it. A call reuses entries that hold its blocks'
+  // K and refills the least recently used ones.
+  std::vector<std::uint16_t> pi_, pi_inv_;
+  int table_k_[kMaxLanes] = {};
+  std::uint64_t table_use_[kMaxLanes] = {};
+  std::uint64_t calls_ = 0;
 
   // Per-block boundary state, indexed by block position in `blocks`.
   std::int16_t beta_tail1_[kMaxLanes][8];

@@ -10,9 +10,19 @@
 // state, beta trained from that block's own termination tails — so every
 // lane is bit-identical to the one-window SSE decoder, at every register
 // width. This is the key contrast with the windowed kernel, whose
-// equal-metric window boundaries are approximate for NW > 1. (The scalar
-// reference agrees too, except on inputs at the int16 rails: it starts
-// each max at kMetricFloor, the SIMD kernels do not.)
+// equal-metric window boundaries are approximate for NW > 1. The scalar
+// reference kernel takes the same plain maxima, so it agrees too, at the
+// int16 rails included.
+//
+// The lane groups of one call may carry blocks of different K. They are
+// right-aligned: a block of K_b steps occupies steps [K - K_b, K) of the
+// K-step streams, so every block ends at step K, where its own trained
+// tail metrics seed the backward pass, which therefore needs no change.
+// The forward pass is split at each later start step, where the lanes
+// that begin there restart from `ainit` with one blend. A lane's steps
+// before its start are padding: whatever they compute, no extrinsic of
+// theirs is read, and the block's own steps run exactly the op sequence
+// of a single-block call.
 //
 // All operands and results are step-major (`x[step * NW + lane]`):
 // gamma inputs arrive that way, boundary metrics arrive as LN-wide
@@ -31,8 +41,9 @@
 //
 // Beyond the VecOps contract of turbo_map_impl.h this needs the
 // per-128-bit-lane unpacks `unpacklo16/unpackhi16/unpacklo32/unpackhi32`,
-// `bsrli<8>`, and `store_steps4(p, v)`, which writes words 0-3 of every
-// lane group step-major to p[0 .. 4 * kWindows).
+// `bsrli<8>`, `blend(a, b, m)` (m ? b : a per byte), and
+// `store_steps4(p, v)`, which writes words 0-3 of every lane group
+// step-major to p[0 .. 4 * kWindows).
 #pragma once
 
 #include <cstdint>
@@ -41,12 +52,28 @@
 
 namespace vran::phy::turbo_internal {
 
-template <class V>
+/// Widest batch: four lane groups (AVX-512).
+inline constexpr int kMaxBatchLanes = 4;
+
+/// Forward-pass restarts of a right-aligned group, ascending by step: at
+/// step `step[i]` the lane groups whose words are set in `mask[i]` begin
+/// their block and restart alpha from the kernel's `ainit`. Lanes that
+/// begin at step 0 need no entry.
+struct AlphaRestarts {
+  int n = 0;
+  std::size_t step[kMaxBatchLanes - 1] = {};
+  alignas(64) std::uint16_t mask[kMaxBatchLanes - 1][kMaxBatchLanes * 8] = {};
+};
+
+/// `kRestarts` false: every lane starts at step 0 and `restarts` is
+/// ignored, so the forward pass compiles to one plain loop.
+template <class V, bool kRestarts>
 void map_decode_batch_impl(std::size_t K, const std::int16_t* gs_step,
                            const std::int16_t* gp_step,
                            const std::int16_t* ainit,
                            const std::int16_t* binit, std::int16_t* ext_step,
-                           std::int16_t* alpha_ws) {
+                           std::int16_t* alpha_ws,
+                           const AlphaRestarts& restarts) {
   using reg = typename V::reg;
   constexpr int NW = V::kWindows;
   constexpr int LN = NW * 8;
@@ -66,17 +93,26 @@ void map_decode_batch_impl(std::size_t K, const std::int16_t* gs_step,
 
   // ---- Forward pass (identical op sequence to the windowed kernel and,
   // per lane, to the scalar reference) ------------------------------------
-  reg alpha = V::load(ainit);
-  for (std::size_t k = 0; k < K; ++k) {
-    V::store(alpha_ws + LN * k, alpha);
-    const reg gsv = V::spread(gs_step + k * NW);
-    const reg gpv = V::spread(gp_step + k * NW);
-    const reg g0 = V::sat_add(V::and16(gsv, mu0), V::and16(gpv, mp0));
-    const reg g1 = V::sat_add(V::and16(gsv, mu1), V::and16(gpv, mp1));
-    const reg a0 = V::sat_add(V::shuffle(alpha, pred0), g0);
-    const reg a1 = V::sat_add(V::shuffle(alpha, pred1), g1);
-    const reg nxt = V::max16(a0, a1);
-    alpha = V::sat_sub(nxt, V::shuffle(nxt, lane0));
+  const reg init = V::load(ainit);
+  reg alpha = init;
+  std::size_t k = 0;
+  const int n_restarts = kRestarts ? restarts.n : 0;
+  for (int seg = 0; seg <= n_restarts; ++seg) {
+    const std::size_t end = seg < n_restarts ? restarts.step[seg] : K;
+    for (; k < end; ++k) {
+      V::store(alpha_ws + LN * k, alpha);
+      const reg gsv = V::spread(gs_step + k * NW);
+      const reg gpv = V::spread(gp_step + k * NW);
+      const reg g0 = V::sat_add(V::and16(gsv, mu0), V::and16(gpv, mp0));
+      const reg g1 = V::sat_add(V::and16(gsv, mu1), V::and16(gpv, mp1));
+      const reg a0 = V::sat_add(V::shuffle(alpha, pred0), g0);
+      const reg a1 = V::sat_add(V::shuffle(alpha, pred1), g1);
+      const reg nxt = V::max16(a0, a1);
+      alpha = V::sat_sub(nxt, V::shuffle(nxt, lane0));
+    }
+    if (seg < n_restarts) {
+      alpha = V::blend(alpha, init, V::mask(restarts.mask[seg]));
+    }
   }
 
   // ---- Backward pass with extrinsic extraction ----------------------------
@@ -125,6 +161,23 @@ void map_decode_batch_impl(std::size_t K, const std::int16_t* gs_step,
     const reg m0 = fold_quad(fold_pair(s0.u0, s1.u0), u0_23);
     const reg m1 = fold_quad(fold_pair(s0.u1, s1.u1), u1_23);
     V::store_steps4(ext_step + k0 * NW, V::sat_sub(m1, m0));
+  }
+}
+
+/// The per-ISA entry points' body: a group without later start steps
+/// runs the instantiation without the restart plumbing.
+template <class V>
+void run_map_decode_batch(std::size_t K, const std::int16_t* gs_step,
+                          const std::int16_t* gp_step,
+                          const std::int16_t* ainit, const std::int16_t* binit,
+                          std::int16_t* ext_step, std::int16_t* alpha_ws,
+                          const AlphaRestarts& restarts) {
+  if (restarts.n == 0) {
+    map_decode_batch_impl<V, false>(K, gs_step, gp_step, ainit, binit,
+                                    ext_step, alpha_ws, restarts);
+  } else {
+    map_decode_batch_impl<V, true>(K, gs_step, gp_step, ainit, binit,
+                                   ext_step, alpha_ws, restarts);
   }
 }
 

@@ -1,12 +1,15 @@
 // Scalar reference constituent decoder + iteration orchestration.
 //
-// The scalar MAP mirrors the SIMD kernel operation-for-operation
-// (saturating adds/subs, per-step normalization against state 0, branch
-// max) so the SSE path can be validated bit-exactly against it.
+// The scalar MAP mirrors the SIMD kernels operation for operation
+// (saturating adds/subs, per-step normalization against state 0, plain
+// branch max), so every exact SIMD kernel can be validated bit for bit
+// against it. One implementation, map_decode_batch_scalar, serves both
+// this decoder's scalar path and the batched decoder's scalar tier.
 #include "phy/turbo/turbo_decoder.h"
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "common/saturate.h"
@@ -23,6 +26,41 @@ std::int16_t scale_extrinsic(std::int16_t e) {
   const std::int16_t e2 = sat_add16(e, e);
   const std::int16_t e3 = sat_add16(e2, e);
   return static_cast<std::int16_t>(e3 >> 2);
+}
+
+void map_decode_batch_scalar(std::size_t K, const std::int16_t* gs,
+                             const std::int16_t* gp, const std::int16_t* ainit,
+                             const std::int16_t* binit, std::int16_t* ext,
+                             std::int16_t* alpha_ws) {
+  // Forward pass, storing normalized alphas before each step.
+  std::int16_t alpha[kStates];
+  std::copy_n(ainit, kStates, alpha);
+  for (std::size_t k = 0; k < K; ++k) {
+    std::copy_n(alpha, kStates, alpha_ws + kStates * k);
+    scalar_alpha_step(alpha, gs[k], gp[k]);
+  }
+
+  // Backward pass with extrinsic extraction: plain maxima over the eight
+  // states, as the SIMD kernels reduce them.
+  std::int16_t beta[kStates];
+  std::copy_n(binit, kStates, beta);
+  for (std::size_t k = K; k-- > 0;) {
+    const std::int16_t* a = alpha_ws + kStates * k;
+    std::int16_t m[2] = {std::numeric_limits<std::int16_t>::min(),
+                         std::numeric_limits<std::int16_t>::min()};
+    for (int s = 0; s < kStates; ++s) {
+      for (int u = 0; u < 2; ++u) {
+        const int ns = kTrellis.succ[u][static_cast<std::size_t>(s)];
+        const int p = kTrellis.out_p[u][static_cast<std::size_t>(s)];
+        // gs deliberately excluded: it cancels in the extrinsic.
+        std::int16_t t = sat_add16(a[s], beta[ns]);
+        if (p) t = sat_add16(t, gp[k]);
+        m[u] = std::max(m[u], t);
+      }
+    }
+    ext[k] = sat_sub16(m[1], m[0]);
+    scalar_beta_step(beta, gs[k], gp[k]);
+  }
 }
 
 void map_decode_scalar(std::span<const std::int16_t> sys,
@@ -44,45 +82,18 @@ void map_decode_scalar(std::span<const std::int16_t> sys,
   std::int16_t* gs = gs_workspace;
   for (std::size_t k = 0; k < K; ++k) gs[k] = sat_add16(sys[k], apr[k]);
 
-  // Forward pass, storing normalized alphas before each step.
-  std::int16_t alpha[kStates];
-  alpha[0] = 0;
-  for (int s = 1; s < kStates; ++s) alpha[s] = kMetricFloor;
-  for (std::size_t k = 0; k < K; ++k) {
-    std::memcpy(alpha_workspace + kStates * k, alpha,
-                sizeof(std::int16_t) * kStates);
-    scalar_alpha_step(alpha, gs[k], par[k]);
-  }
+  // Alpha from the known zero start state, beta from the three
+  // termination steps.
+  std::int16_t ainit[kStates];
+  ainit[0] = 0;
+  for (int s = 1; s < kStates; ++s) ainit[s] = kMetricFloor;
+  std::int16_t binit[kStates];
+  train_beta_tail(sys_tail, par_tail, binit);
 
-  // Beta boundary from the three termination steps (a-priori = 0).
-  std::int16_t beta[kStates];
-  beta[0] = 0;
-  for (int s = 1; s < kStates; ++s) beta[s] = kMetricFloor;
-  for (int t = 2; t >= 0; --t) scalar_beta_step(beta, sys_tail[t], par_tail[t]);
-
-  // Backward pass with extrinsic extraction.
-  for (std::size_t k = K; k-- > 0;) {
-    const std::int16_t* a = alpha_workspace + kStates * k;
-    const std::int16_t gp = par[k];
-    std::int16_t m1 = kMetricFloor;
-    std::int16_t m0 = kMetricFloor;
-    for (int s = 0; s < kStates; ++s) {
-      for (int u = 0; u < 2; ++u) {
-        const int ns = kTrellis.succ[u][static_cast<std::size_t>(s)];
-        const int p = kTrellis.out_p[u][static_cast<std::size_t>(s)];
-        // gs deliberately excluded: it cancels in the extrinsic.
-        std::int16_t t = sat_add16(a[s], beta[ns]);
-        if (p) t = sat_add16(t, gp);
-        if (u) {
-          m1 = std::max(m1, t);
-        } else {
-          m0 = std::max(m0, t);
-        }
-      }
-    }
-    ext[k] = sat_sub16(m1, m0);
-    if (!lall.empty()) lall[k] = sat_add16(ext[k], gs[k]);
-    scalar_beta_step(beta, gs[k], gp);
+  map_decode_batch_scalar(K, gs, par.data(), ainit, binit, ext.data(),
+                          alpha_workspace);
+  if (!lall.empty()) {
+    for (std::size_t k = 0; k < K; ++k) lall[k] = sat_add16(ext[k], gs[k]);
   }
 }
 

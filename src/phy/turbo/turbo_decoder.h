@@ -113,6 +113,16 @@ void map_decode_scalar(std::span<const std::int16_t> sys,
                        std::int16_t* alpha_workspace,
                        std::int16_t* gs_workspace);
 
+/// The scalar reference kernel in the batched kernels' form (see
+/// turbo_batch_impl.h), one block: K steps of gamma-systematic `gs` and
+/// parity `gp`, boundary metrics `ainit` / `binit` (8 each), unscaled
+/// extrinsics to `ext`; `alpha_ws` holds 8K values. map_decode_scalar
+/// wraps it, and TurboBatchDecoder runs it at the scalar tier.
+void map_decode_batch_scalar(std::size_t K, const std::int16_t* gs,
+                             const std::int16_t* gp, const std::int16_t* ainit,
+                             const std::int16_t* binit, std::int16_t* ext,
+                             std::int16_t* alpha_ws);
+
 /// SIMD constituent pass; `isa` selects 1/2/4-window decoding. The SSE
 /// variant is bit-exact with map_decode_scalar. `gs_workspace` must hold
 /// at least 3K int16 (gamma-systematic array plus the two step-major

@@ -10,9 +10,11 @@
 // bit-identical to it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -25,13 +27,16 @@ namespace vran::phy::turbo_internal {
 /// can include just this header.
 std::int16_t scale_extrinsic(std::int16_t e);
 
-/// Scalar one-step recursions shared with the reference decoder and used
-/// here for tail training of the beta boundary.
+/// Scalar one-step recursions of the reference kernel
+/// (map_decode_batch_scalar). Each state takes the plain max of its two
+/// branches, as every SIMD kernel does (`pmaxsw`), so the scalar tier
+/// agrees with them bit for bit even where every branch sum lies on the
+/// int16 rails. `start` exists only for train_beta_tail below.
 inline void scalar_alpha_step(std::int16_t* alpha, std::int16_t gs,
                               std::int16_t gp) {
   std::int16_t next[kStates];
   for (int ns = 0; ns < kStates; ++ns) {
-    std::int16_t best = kMetricFloor;
+    std::int16_t best = std::numeric_limits<std::int16_t>::min();
     for (int b = 0; b < 2; ++b) {
       const int s = kTrellis.pred[b][static_cast<std::size_t>(ns)];
       const int u = kTrellis.in_u[b][static_cast<std::size_t>(ns)];
@@ -47,11 +52,12 @@ inline void scalar_alpha_step(std::int16_t* alpha, std::int16_t gs,
   for (int s = 0; s < kStates; ++s) alpha[s] = sat_sub16(next[s], norm);
 }
 
-inline void scalar_beta_step(std::int16_t* beta, std::int16_t gs,
-                             std::int16_t gp) {
+inline void scalar_beta_step(
+    std::int16_t* beta, std::int16_t gs, std::int16_t gp,
+    std::int16_t start = std::numeric_limits<std::int16_t>::min()) {
   std::int16_t next[kStates];
   for (int s = 0; s < kStates; ++s) {
-    std::int16_t best = kMetricFloor;
+    std::int16_t best = start;
     for (int u = 0; u < 2; ++u) {
       const int ns = kTrellis.succ[u][static_cast<std::size_t>(s)];
       const int p = kTrellis.out_p[u][static_cast<std::size_t>(s)];
@@ -64,6 +70,22 @@ inline void scalar_beta_step(std::int16_t* beta, std::int16_t gs,
   }
   const std::int16_t norm = next[0];
   for (int s = 0; s < kStates; ++s) beta[s] = sat_sub16(next[s], norm);
+}
+
+/// One constituent's beta boundary metrics at step K, trained over its
+/// three termination steps (a-priori 0) from the zero end state. Every
+/// kernel, scalar and SIMD, starts its backward pass here. These maxima
+/// start at kMetricFloor, as they always have: on railed tail LLRs the
+/// plain max would give different boundary metrics and so move every
+/// tier's output.
+inline void train_beta_tail(const std::int16_t sys_tail[3],
+                            const std::int16_t par_tail[3],
+                            std::int16_t beta[kStates]) {
+  beta[0] = 0;
+  for (int s = 1; s < kStates; ++s) beta[s] = kMetricFloor;
+  for (int t = 2; t >= 0; --t) {
+    scalar_beta_step(beta, sys_tail[t], par_tail[t], kMetricFloor);
+  }
 }
 
 /// Byte shuffle patterns and lane masks for one 128-bit state group,
@@ -211,9 +233,7 @@ void map_decode_impl(std::span<const std::int16_t> sys,
   // matching the reference exactly); other windows start with equal
   // metrics.
   std::int16_t beta_tail[8];
-  beta_tail[0] = 0;
-  for (int s = 1; s < 8; ++s) beta_tail[s] = kMetricFloor;
-  for (int t = 2; t >= 0; --t) scalar_beta_step(beta_tail, sys_tail[t], par_tail[t]);
+  train_beta_tail(sys_tail, par_tail, beta_tail);
 
   alignas(64) std::int16_t binit[LN];
   for (int g = 0; g < NW; ++g) {

@@ -28,6 +28,9 @@ struct Avx2Ops {
   static reg max16(reg a, reg b) { return _mm256_max_epi16(a, b); }
   static reg and16(reg a, reg b) { return _mm256_and_si256(a, b); }
   static reg shuffle(reg v, reg pat) { return _mm256_shuffle_epi8(v, pat); }
+  static reg blend(reg a, reg b, reg m) {
+    return _mm256_blendv_epi8(a, b, m);
+  }
   static reg spread(const std::int16_t* p) {
     // vpbroadcastd of the two values + per-lane byte shuffle selecting
     // word 0 in lane group 0 and word 1 in group 1.

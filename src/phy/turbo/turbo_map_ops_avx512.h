@@ -23,6 +23,9 @@ struct Avx512Ops {
   static reg max16(reg a, reg b) { return _mm512_max_epi16(a, b); }
   static reg and16(reg a, reg b) { return _mm512_and_si512(a, b); }
   static reg shuffle(reg v, reg pat) { return _mm512_shuffle_epi8(v, pat); }
+  static reg blend(reg a, reg b, reg m) {
+    return _mm512_ternarylogic_epi32(m, b, a, 0xCA);  // bitwise m ? b : a
+  }
   static reg spread(const std::int16_t* p) {
     // vpbroadcastq of the four values + per-lane byte shuffle selecting
     // word g in lane group g.

@@ -27,6 +27,8 @@ struct SseOps {
   static reg max16(reg a, reg b) { return _mm_max_epi16(a, b); }
   static reg and16(reg a, reg b) { return _mm_and_si128(a, b); }
   static reg shuffle(reg v, reg pat) { return _mm_shuffle_epi8(v, pat); }
+  /// m ? b : a, per byte (m holds 0x0000 / 0xFFFF words).
+  static reg blend(reg a, reg b, reg m) { return _mm_blendv_epi8(a, b, m); }
   static reg spread(const std::int16_t* p) { return _mm_set1_epi16(p[0]); }
   template <int N>
   static reg bsrli(reg v) {

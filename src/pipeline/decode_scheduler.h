@@ -1,40 +1,40 @@
-// Cross-TB / cross-UE batched decode scheduler.
+// Cross-TB / cross-UE batched decode scheduler: the single turbo decode
+// route of the pipeline.
 //
-// PR 6's batched-lane turbo decoder wins ~2x when its SIMD lanes are
-// full, but `phy_decode` could only group same-K blocks WITHIN one
-// transport block — and the default workload segments every TB into
-// c=3 mixed-K blocks, so the AVX-512 batch never filled. This layer
-// promotes the grouping one level up: every code block of a TTI (all
-// TBs of one pipeline; under BatchRunner, all UE flows of the batch)
-// is submitted as a DecodeJob, grouped by batch key (K, ISA tier,
-// iteration/CRC config), and dispatched as full lane groups.
+// The batched-lane turbo decoder wins when its SIMD lanes are full, and
+// one transport block rarely fills them. This layer promotes the grouping
+// one level up: every code block of a TTI (all TBs of one pipeline;
+// under BatchRunner, all UE flows of the batch) is submitted as a
+// DecodeJob, grouped by batch key (ISA tier, iteration cap, CRC policy)
+// and dispatched as lane groups of the K-agnostic batch decoder, which
+// decodes blocks of different K side by side (phy/turbo/turbo_batch.h).
 //
-// The scheduler is also the single routing authority for open item 1
-// (ROADMAP): a block whose windowed decode would run approximate
-// multi-window kernels with too little run-in per window
-// (phy::windowed_window_too_short) is routed to the batched kernel
-// unconditionally — the batched path runs exact full-K recursions at
-// every width, so short blocks are never exposed to the window-boundary
-// approximation, whether or not the flow asked for batching.
+// Packing order: full groups of one K form first, in submission order,
+// so same-K traffic keeps the decoder's one-copy interleaver path. The
+// remaining jobs are sorted by key, then K descending (ties in
+// submission order), and packed into groups of lane capacity, so each
+// mixed group pads its shorter blocks as little as the mix allows. There
+// is no padding bound: a group of N blocks costs less than N one-lane
+// decodes however its K differ.
 //
 // Concurrency/allocation contract (matches phy_decode): submit() and
-// the grouping + codec-cache resolution + staging carve inside run()
-// happen on the driving thread; only the decode units are fanned out on
-// the pool, and each unit touches disjoint staging and job slots. Job
+// the grouping + decoder resolution + staging carve inside run() happen
+// on the driving thread; only the decode units are fanned out on the
+// pool, and each unit touches disjoint staging and job slots. Job
 // storage is grow-only and staging is carved from the caller's
 // workspace arena, so a warm steady state schedules with zero heap
-// allocations per TTI.
+// allocations per TTI, whatever its block sizes.
 //
-// Determinism: jobs are grouped in submission order and lane-group
-// decoders are cached per first-job index, so group composition, cache
+// Determinism: grouping depends only on the submitted jobs, and unit u
+// always decodes with slot u's decoder, so group composition, decoder
 // layout, and (because batched decoding is bit-exact per block at every
-// width) every hard-decision output are identical for any worker count
-// — and identical to per-TB decoding of the same blocks.
+// width and for any group mix) every hard-decision output are identical
+// for any worker count — and identical to per-TB decoding of the same
+// blocks.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -65,10 +65,11 @@ struct DecodeJob {
   IsaLevel isa = IsaLevel::kSse41;  ///< flow's tier cap (part of the key)
   int max_iterations = 6;
   bool crc_multi = false;  ///< multi-block TB: per-block CRC24B early stop
-  arrange::Method arrange_method = arrange::Method::kApcm;  ///< cache key only
-  /// Flow policy: batching requested and the tier has >1 lane group.
-  /// Jobs with batch_ok false still batch when the windowed route would
-  /// be unsafe for their K (small-K rerouting).
+  /// Inert: read by no scheduler code since every job decodes on the one
+  /// batched route. Kept until the benchmark's frozen replay stops
+  /// setting it.
+  arrange::Method arrange_method = arrange::Method::kApcm;
+  /// Inert, as arrange_method.
   bool batch_ok = false;
   bool force_full = false;  ///< fault injection: burn every iteration
   phy::TurboBatchInput in;  ///< arranged sys/p1/p2 streams (K+4 each)
@@ -77,8 +78,8 @@ struct DecodeJob {
 
   // Observability plumbing (the submitting flow's "turbo_decode" stage
   // handles; a batched group records its span/PMU scope under its first
-  // job's identity and its per-block share of the group's wall time
-  // into every member's histogram).
+  // job's identity and each member's K-proportional share of the group's
+  // wall time into that member's histogram).
   obs::TraceRecorder* trace = nullptr;
   std::uint32_t tti = 0;
   std::int32_t block = -1;
@@ -88,9 +89,8 @@ struct DecodeJob {
 
 class DecodeScheduler {
  public:
-  /// Resolves the scheduler's own metric handles ("decode.batch_fill"
-  /// per-group fill-percent histogram, "decode.smallk_rerouted"
-  /// counter) once; nullptr disables them.
+  /// Resolves the scheduler's own metric handle ("decode.batch_fill"
+  /// per-group fill-percent histogram) once; nullptr disables it.
   explicit DecodeScheduler(obs::MetricsRegistry* metrics);
 
   /// Drop all pending jobs (start of a scheduling round).
@@ -101,23 +101,24 @@ class DecodeScheduler {
 
   std::size_t pending() const { return jobs_.size(); }
 
-  /// Group pending jobs, resolve decoders from `ws`'s per-lane caches,
-  /// carve staging from `ws`'s arena, and decode every unit (batched
-  /// lane groups + windowed singles) — via `pool` when given, inline
-  /// otherwise. Outcomes land in each job's `out`/`hard`.
+  /// Group pending jobs, resolve decoders from `ws`'s per-slot caches,
+  /// carve staging from `ws`'s arena, and decode every lane group — via
+  /// `pool` when given, inline otherwise. Outcomes land in each job's
+  /// `out`/`hard`.
   void run(PipelineWorkspace& ws, ThreadPool* pool);
 
   /// Cumulative since construction. lanes_filled/lanes_available are in
   /// blocks: a group of 3 blocks on a 4-lane tier fills 3 of 4.
   struct Stats {
     std::uint64_t blocks = 0;          ///< jobs scheduled
-    std::uint64_t batch_groups = 0;    ///< batched units dispatched
-    std::uint64_t windowed_blocks = 0; ///< jobs routed to windowed decode
+    std::uint64_t batch_groups = 0;    ///< lane groups dispatched
+    std::uint64_t mixed_groups = 0;    ///< groups whose blocks differ in K
     std::uint64_t lanes_filled = 0;
     std::uint64_t lanes_available = 0;
-    std::uint64_t smallk_rerouted = 0; ///< windowed-unsafe jobs forced batched
-    /// Batched groups per block size K (grow-only; one node per distinct K).
-    std::map<int, std::uint64_t> groups_per_k;
+    /// Inert, always 0: the windowed route and its small-K reroute are
+    /// gone. Kept until the benchmark's frozen report stops reading them.
+    std::uint64_t windowed_blocks = 0;
+    std::uint64_t smallk_rerouted = 0;
 
     double fill() const {
       return lanes_available == 0
@@ -131,10 +132,9 @@ class DecodeScheduler {
   struct Unit;  // defined in decode_scheduler.cc
 
   std::vector<DecodeJob> jobs_;       ///< grow-only pending set
-  std::vector<std::uint8_t> routed_;  ///< per-job group-assignment marks
+  std::vector<std::uint8_t> routed_;  ///< per-job grouping marks
   Stats stats_;
   obs::Histogram* batch_fill_pct_ = nullptr;
-  obs::Counter* smallk_rerouted_ = nullptr;
 };
 
 }  // namespace vran::pipeline

@@ -418,12 +418,8 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
   };
 
   // Stage A (per block, parallel): de-rate-match, then de-interleave the
-  // triples into per-stream arranged spans. Every route consumes
-  // arranged streams now — the windowed decoder via decode_arranged
-  // (bit-identical to its fused decode(); the arrangement mechanism
-  // still honours cfg.arrange_method) and the batched kernels natively —
-  // so one stage serves both and the scheduler only ever sees arranged
-  // blocks.
+  // triples into per-stream arranged spans with cfg.arrange_method; the
+  // batched decoder consumes arranged streams.
   const auto arrange_block = [&](std::size_t bi) {
     const auto i = static_cast<std::int32_t>(bi);
     {
@@ -450,21 +446,14 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
     for (std::size_t bi = 0; bi < n_blocks; ++bi) arrange_block(bi);
   }
 
-  // One DecodeJob per block (driving thread). Batching is offered to the
-  // scheduler for multi-block TBs on multi-lane-group tiers — the same
-  // policy the per-TB grouping used — but the scheduler may also widen a
-  // group with other TBs' blocks (cross-TB mode) or force a windowed-
-  // unsafe small-K block onto the exact batched kernel.
-  const bool batch_ok = cfg.batch_decode && multi &&
-                        phy::TurboBatchDecoder::lane_capacity(cfg.isa) > 1;
+  // One DecodeJob per block (driving thread); the scheduler groups them,
+  // with other TBs' blocks in cross-TB mode.
   for (std::size_t bi = 0; bi < n_blocks; ++bi) {
     DecodeJob j;
     j.k = enc.plan.block_size(static_cast<int>(bi));
     j.isa = cfg.isa;
     j.max_iterations = cfg.max_turbo_iterations;
     j.crc_multi = multi;
-    j.arrange_method = cfg.arrange_method;
-    j.batch_ok = batch_ok;
     j.force_full = miss_early_stop(bi);
     j.in = {arranged[3 * bi], arranged[3 * bi + 1], arranged[3 * bi + 2]};
     j.hard = hard[bi];

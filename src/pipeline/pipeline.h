@@ -52,13 +52,9 @@ struct PipelineConfig {
   double snr_db = 18.0;
   IsaLevel isa = IsaLevel::kSse41;
   arrange::Method arrange_method = arrange::Method::kApcm;
-  /// Decode same-K code blocks of one transport block batched across
-  /// SIMD lanes — one whole trellis per 8-state lane group (see
-  /// phy/turbo/turbo_batch.h) — instead of window-splitting each block.
-  /// Engages only for multi-block TBs when `isa` is AVX2 or wider;
-  /// narrower tiers and single-block TBs keep the per-block windowed
-  /// decoder. Exact per-lane boundary metrics make the batched wide
-  /// tiers bit-identical to single-block SSE decoding.
+  /// Inert: every code block decodes on the one batched route (see
+  /// pipeline/decode_scheduler.h), whatever this says. Kept until the
+  /// benchmark's frozen replay stops reading it.
   bool batch_decode = true;
   std::uint16_t rnti = 0x1234;
   int cell_id = 1;
@@ -79,9 +75,9 @@ struct PipelineConfig {
   /// block's stage times differs).
   int num_workers = 1;
   /// Bound for each codec LRU map in the pipeline's workspace (distinct
-  /// K values / decoder specs kept warm; see workspace.h). Traffic over
-  /// more distinct sizes evicts and reconstructs instead of growing
-  /// without bound.
+  /// K values of encoders and rate matchers, decoder specs per slot; see
+  /// workspace.h). Traffic over more distinct sizes evicts and
+  /// reconstructs instead of growing without bound.
   std::size_t codec_cache_capacity = 8;
   /// Metrics sink: every stage feeds its latency histogram
   /// ("stage.<key>_ns", see kStages), and the pipeline records

@@ -1,14 +1,12 @@
 #include "pipeline/workspace.h"
 
 #include "phy/crc/crc.h"
+#include "phy/segmentation/segmentation.h"
 
 namespace vran::pipeline {
 
 CodecCache::CodecCache(std::size_t capacity)
-    : encoders_(capacity),
-      matchers_(capacity),
-      decoders_(capacity),
-      batch_decoders_(capacity) {}
+    : encoders_(capacity), matchers_(capacity), batch_decoders_(capacity) {}
 
 phy::TurboEncoder& CodecCache::encoder(int k) {
   return encoders_.get(k,
@@ -20,31 +18,15 @@ phy::RateMatcher& CodecCache::matcher(int k) {
                        [k] { return std::make_unique<phy::RateMatcher>(k); });
 }
 
-phy::TurboDecoder& CodecCache::decoder(int k, const DecoderSpec& spec) {
-  const DecoderKey key{k, static_cast<int>(spec.arrange_method),
-                       static_cast<int>(spec.isa), spec.max_iterations,
-                       spec.multi};
-  return decoders_.get(key, [k, &spec] {
-    phy::TurboDecodeConfig tc;
-    tc.max_iterations = spec.max_iterations;
-    tc.crc = spec.multi ? phy::CrcType::k24B : phy::CrcType::k24A;
-    tc.arrange_method = spec.arrange_method;
-    tc.isa = spec.isa;
-    tc.simd = spec.isa != IsaLevel::kScalar;
-    return std::make_unique<phy::TurboDecoder>(k, tc);
-  });
-}
-
-phy::TurboBatchDecoder& CodecCache::batch_decoder(int k,
-                                                  const DecoderSpec& spec) {
-  const BatchKey key{k, static_cast<int>(spec.isa), spec.max_iterations,
+phy::TurboBatchDecoder& CodecCache::batch_decoder(const DecoderSpec& spec) {
+  const BatchKey key{static_cast<int>(spec.isa), spec.max_iterations,
                      spec.multi};
-  return batch_decoders_.get(key, [k, &spec] {
+  return batch_decoders_.get(key, [&spec] {
     phy::TurboBatchConfig bc;
     bc.max_iterations = spec.max_iterations;
     bc.crc = spec.multi ? phy::CrcType::k24B : phy::CrcType::k24A;
     bc.isa = spec.isa;
-    return std::make_unique<phy::TurboBatchDecoder>(k, bc);
+    return std::make_unique<phy::TurboBatchDecoder>(phy::kMaxCodeBlock, bc);
   });
 }
 
@@ -52,9 +34,9 @@ CodecCache::Stats CodecCache::stats() const {
   Stats s;
   s.encoders = encoders_.size();
   s.matchers = matchers_.size();
-  s.decoders = decoders_.size() + batch_decoders_.size();
+  s.decoders = batch_decoders_.size();
   s.evictions = encoders_.evictions() + matchers_.evictions() +
-                decoders_.evictions() + batch_decoders_.evictions();
+                batch_decoders_.evictions();
   return s;
 }
 

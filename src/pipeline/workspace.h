@@ -10,21 +10,24 @@
 //    observe it. The workspace is a pipeline member; its caches are
 //    bounded LRU and its sizes/evictions are inspectable.
 //  * Warmup determinism: with per-*thread* caches, which worker first
-//    decodes block i (and therefore which thread pays the construction
+//    decodes a group (and therefore which thread pays the construction
 //    cost, and where the decoder's workspaces live) depends on work-
-//    stealing order. Decoders here are cached per code-block *lane*
-//    (block index): lane i always serves block i, so the set of decoder
-//    constructions for a given traffic mix is identical on every run and
-//    for every worker count — and after one warmup TTI per K the decode
-//    path constructs nothing.
-//  * Sharing: two blocks of the same K must not share one TurboDecoder
-//    (its scratch members are per-call state); per-lane caches make the
+//    stealing order. Decoders here are cached per decode-unit *slot*
+//    (the scheduler's unit index): slot u always serves unit u, so the
+//    set of decoder constructions for a given traffic mix is identical
+//    on every run and for every worker count.
+//  * Sharing: two concurrently decoded groups must not share one decoder
+//    (its scratch members are per-call state); per-slot caches make the
 //    no-sharing rule structural instead of accidental.
+//
+// Batch decoders are K-agnostic (sized once for K = 6144), so a slot
+// holds one per decoder spec and a new block size constructs nothing.
+// Encoders and rate matchers are still built per K.
 //
 // Concurrency contract: all cache lookups and all arena carving happen
 // on the driving thread, before the parallel region. Workers receive raw
 // codec pointers and disjoint arena spans; they never touch the
-// workspace itself. RateMatchers ARE shared across lanes — their decode-
+// workspace itself. RateMatchers ARE shared across slots — their decode-
 // side methods are const and stateless.
 #pragma once
 
@@ -37,12 +40,10 @@
 #include <utility>
 #include <vector>
 
-#include "arrange/arrange.h"
 #include "common/arena.h"
 #include "common/cpu_features.h"
 #include "phy/ratematch/rate_match.h"
 #include "phy/turbo/turbo_batch.h"
-#include "phy/turbo/turbo_decoder.h"
 #include "phy/turbo/turbo_encoder.h"
 
 namespace vran::pipeline {
@@ -88,30 +89,28 @@ class LruCodecMap {
   std::uint64_t evictions_ = 0;
 };
 
-/// Behavioural dimensions selecting a distinct TurboDecoder: benches
-/// comparing arrangement methods or ISA tiers must never share one.
+/// Behavioural dimensions selecting a distinct batch decoder: groups of
+/// different tiers, iteration caps or CRC policies never share one.
 struct DecoderSpec {
-  arrange::Method arrange_method = arrange::Method::kApcm;
   IsaLevel isa = IsaLevel::kSse41;
   int max_iterations = 6;
   bool multi = false;  ///< multi-block TB: per-block CRC24B early stop
 };
 
-/// Per-K codec objects behind bounded LRU maps. Each map's capacity is
-/// the number of distinct K (or decoder specs) kept warm; a traffic mix
-/// over more distinct sizes than the capacity reconstructs on re-entry
-/// (counted in evictions()) instead of growing without bound.
+/// Per-K encoders and rate matchers and per-spec batch decoders behind
+/// bounded LRU maps. Each map's capacity is the number of distinct K
+/// (or decoder specs) kept warm; a traffic mix over more distinct sizes
+/// than the capacity reconstructs on re-entry (counted in evictions())
+/// instead of growing without bound.
 class CodecCache {
  public:
   explicit CodecCache(std::size_t capacity);
 
   phy::TurboEncoder& encoder(int k);
   phy::RateMatcher& matcher(int k);
-  phy::TurboDecoder& decoder(int k, const DecoderSpec& spec);
-  /// Batched-lane decoder (one code block per SIMD lane group); keyed
-  /// without the arrangement method — batched decode consumes already-
-  /// arranged streams, so the arrangement mechanism never touches it.
-  phy::TurboBatchDecoder& batch_decoder(int k, const DecoderSpec& spec);
+  /// K-agnostic batched-lane decoder (one code block per SIMD lane
+  /// group, any K up to 6144).
+  phy::TurboBatchDecoder& batch_decoder(const DecoderSpec& spec);
 
   struct Stats {
     std::size_t encoders = 0;
@@ -122,20 +121,18 @@ class CodecCache {
   Stats stats() const;
 
  private:
-  using DecoderKey = std::tuple<int, int, int, int, bool>;
-  /// k, isa, iters, multi
-  using BatchKey = std::tuple<int, int, int, bool>;
+  /// isa, iters, multi
+  using BatchKey = std::tuple<int, int, bool>;
   LruCodecMap<int, phy::TurboEncoder> encoders_;
   LruCodecMap<int, phy::RateMatcher> matchers_;
-  LruCodecMap<DecoderKey, phy::TurboDecoder> decoders_;
   LruCodecMap<BatchKey, phy::TurboBatchDecoder> batch_decoders_;
 };
 
 /// Everything one pipeline's hot path owns: the per-TTI arena and the
-/// codec caches (shared encoders/matchers + per-lane decoders).
+/// codec caches (shared encoders/matchers + per-slot decoders).
 class PipelineWorkspace {
  public:
-  /// `codec_capacity` bounds each LRU map (shared and per-lane alike).
+  /// `codec_capacity` bounds each LRU map (shared and per-slot alike).
   explicit PipelineWorkspace(std::size_t codec_capacity);
 
   PipelineWorkspace(const PipelineWorkspace&) = delete;
@@ -145,10 +142,10 @@ class PipelineWorkspace {
   MonotonicArena& arena() { return arena_; }
 
   /// Shared cache: encoders (encode side) and rate matchers (shared
-  /// across lanes; decode-side use is const).
+  /// across slots; decode-side use is const).
   CodecCache& codecs() { return codecs_; }
 
-  /// Decoder cache for code-block lane `lane` (grow-only; lanes are
+  /// Decoder cache for decode-unit slot `lane` (grow-only; slots are
   /// created on first touch and live as long as the workspace).
   CodecCache& lane(std::size_t lane);
   std::size_t lane_count() const { return lanes_.size(); }
@@ -160,7 +157,7 @@ class PipelineWorkspace {
     std::uint64_t arena_resets = 0;
     std::size_t cached_encoders = 0;
     std::size_t cached_matchers = 0;
-    std::size_t cached_decoders = 0;  ///< summed over shared + lanes
+    std::size_t cached_decoders = 0;  ///< summed over shared + slots
     std::uint64_t codec_evictions = 0;
   };
   Stats stats() const;

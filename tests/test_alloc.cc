@@ -14,12 +14,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_stats.h"
 #include "common/cpu_features.h"
 #include "net/pktgen.h"
+#include "phy/turbo/qpp_interleaver.h"
+#include "phy/turbo/turbo_encoder.h"
 #include "pipeline/batch_runner.h"
+#include "pipeline/decode_scheduler.h"
 #include "pipeline/pipeline.h"
 
 namespace vran::pipeline {
@@ -159,6 +163,80 @@ TEST(AllocSteadyState, DownlinkDecodeIsZeroAlloc) {
     total += res.decode_allocs;
   }
   EXPECT_EQ(total, 0u);
+}
+
+TEST(AllocSteadyState, MixedKSchedulingRotatesThroughEveryK) {
+  // Eight blocks per scheduling round, rotating through all 188 legal K,
+  // so every round packs different mixed-K groups: the K-agnostic batch
+  // decoders, the grouping and the staging must allocate nothing after
+  // the first round, at the widest and the scalar tier.
+  if (!alloc_stats::interposed()) {
+    GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+  }
+  const auto sizes = phy::qpp_block_sizes();
+  struct Block {
+    AlignedVector<std::int16_t> sys, p1, p2;
+    std::vector<std::uint8_t> hard;
+  };
+  std::vector<Block> blocks;
+  for (const int k : sizes) {
+    const auto cw = phy::turbo_encode(
+        std::vector<std::uint8_t>(static_cast<std::size_t>(k), 1));
+    Block b;
+    for (auto [stream, bits] : {std::pair{&b.sys, &cw.d0},
+                                std::pair{&b.p1, &cw.d1},
+                                std::pair{&b.p2, &cw.d2}}) {
+      stream->resize(bits->size());
+      for (std::size_t t = 0; t < bits->size(); ++t) {
+        (*stream)[t] = (*bits)[t] ? std::int16_t{40} : std::int16_t{-40};
+      }
+    }
+    b.hard.resize(static_cast<std::size_t>(k));
+    blocks.push_back(std::move(b));
+  }
+
+  constexpr std::size_t kPerRound = 8;
+  const std::size_t rounds = 2 * sizes.size() / kPerRound;
+  for (const IsaLevel isa : {best_isa(), IsaLevel::kScalar}) {
+    PipelineWorkspace ws(8);
+    DecodeScheduler sched(nullptr);
+    std::vector<DecodeJob> jobs(kPerRound);
+    std::vector<DecodeOutcome> outcomes(kPerRound);
+    std::uint64_t allocs = 0;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (std::size_t j = 0; j < kPerRound; ++j) {
+        // Stride 23 (coprime with 188): neighbours in a round are far
+        // apart in K, and every K comes up once per 188 draws.
+        const std::size_t i = (round * kPerRound + j) * 23 % sizes.size();
+        Block& b = blocks[i];
+        DecodeJob& job = jobs[j];
+        job.k = sizes[i];
+        job.isa = isa;
+        job.max_iterations = 2;
+        job.in = {b.sys, b.p1, b.p2};
+        job.hard = b.hard;
+        job.out = &outcomes[j];
+      }
+      const std::uint64_t a0 = alloc_stats::news();
+      ws.arena().reset();
+      sched.begin();
+      sched.submit(jobs);
+      sched.run(ws, nullptr);
+      if (round > 0) allocs += alloc_stats::news() - a0;
+      for (std::size_t j = 0; j < kPerRound; ++j) {
+        const std::size_t i = (round * kPerRound + j) * 23 % sizes.size();
+        EXPECT_EQ(blocks[i].hard, std::vector<std::uint8_t>(
+                                      static_cast<std::size_t>(sizes[i]), 1))
+            << "K=" << sizes[i] << " " << isa_name(isa);
+      }
+    }
+    if (phy::TurboBatchDecoder::lane_capacity(isa) > 1) {
+      EXPECT_GT(sched.stats().mixed_groups, 0u);
+    }
+    EXPECT_EQ(allocs, 0u) << "mixed-K scheduling allocated after the first "
+                             "round ("
+                          << isa_name(isa) << ")";
+  }
 }
 
 TEST(CodecCacheLru, EvictsBeyondCapacityAndStaysBounded) {

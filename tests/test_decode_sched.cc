@@ -2,14 +2,10 @@
 //
 // Three contracts pinned here:
 //
-//  1. The small-K windowed regression (ROADMAP open item 1, fuzz
-//     iteration 2274): a 35-byte transport block at MCS 28 segments into
-//     ONE K=816 code block, and the windowed AVX-512 decoder's four
-//     204-step windows are too short for the boundary approximation —
-//     noiseless CRC failed before this PR. The scheduler must reroute
-//     such blocks to the exact batched kernel on EVERY tier, with
-//     batch_decode on or off (a single-block TB is never batch-eligible
-//     by flow policy, so the reroute is what saves it).
+//  1. The small-K regression (fuzz iteration 2274): a 35-byte transport
+//     block at MCS 28 segments into ONE K=816 code block, which the
+//     retired windowed AVX-512 decoder failed noiselessly. On the one
+//     batched route it must pass CRC with identical egress on every tier.
 //
 //  2. Cross-TB/cross-UE grouping is semantics-free: a BatchRunner with
 //     the shared scheduler produces byte-identical egress and identical
@@ -18,12 +14,14 @@
 //     count, on scalar and the widest tier, across randomized multi-UE
 //     TTIs (mixed sizes, idle flows, retransmissions).
 //
-//  3. Grouping mechanics: ragged last groups and single-block fallback
-//     groups decode correctly, and cross-UE aggregation measurably
-//     raises SIMD lane fill over single-UE scheduling.
+//  3. Grouping mechanics: full same-K groups form first, the leftovers
+//     pack by K into mixed groups, single-block TBs of different sizes
+//     fill the lanes together, and the packing is the same for any
+//     worker count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -38,7 +36,7 @@ namespace vran::pipeline {
 namespace {
 
 // ---------------------------------------------------------------------------
-// 1. Small-K windowed regression (fuzz reproducer 2274, minimized).
+// 1. Small-K regression (fuzz reproducer 2274, minimized).
 // ---------------------------------------------------------------------------
 
 /// Exact payload of the minimized fuzz reproducer: 35 random bytes from
@@ -51,13 +49,12 @@ std::vector<std::uint8_t> smallk_payload() {
   return p;
 }
 
-PipelineConfig smallk_config(IsaLevel isa, bool batch_decode) {
+PipelineConfig smallk_config(IsaLevel isa) {
   PipelineConfig cfg;
   cfg.mcs = 28;
   cfg.max_prb = 100;
   cfg.isa = isa;
   cfg.arrange_method = arrange::Method::kExtract;
-  cfg.batch_decode = batch_decode;
   cfg.with_channel = false;  // noiseless: any CRC failure is a kernel bug
   cfg.rnti = 31108;
   cfg.cell_id = 427;
@@ -71,45 +68,17 @@ TEST(SmallKWindowed, NoiselessSingleBlockPassesCrcOnEveryTier) {
   std::vector<std::uint8_t> reference;
   for (int level = 0; level <= static_cast<int>(best_isa()); ++level) {
     const auto isa = static_cast<IsaLevel>(level);
-    for (const bool batch : {false, true}) {
-      UplinkPipeline ul(smallk_config(isa, batch));
-      const auto res = ul.send_packet(pkt);
-      ASSERT_EQ(res.code_blocks, 1u);  // the windowed-eligible geometry
-      EXPECT_TRUE(res.crc_ok) << isa_name(isa) << " batch=" << batch;
-      ASSERT_TRUE(res.delivered) << isa_name(isa) << " batch=" << batch;
-      if (reference.empty()) {
-        reference = res.egress;
-      } else {
-        EXPECT_EQ(res.egress, reference)
-            << isa_name(isa) << " batch=" << batch;
-      }
+    UplinkPipeline ul(smallk_config(isa));
+    const auto res = ul.send_packet(pkt);
+    ASSERT_EQ(res.code_blocks, 1u);  // the K=816 geometry
+    EXPECT_TRUE(res.crc_ok) << isa_name(isa);
+    ASSERT_TRUE(res.delivered) << isa_name(isa);
+    if (reference.empty()) {
+      reference = res.egress;
+    } else {
+      EXPECT_EQ(res.egress, reference) << isa_name(isa);
     }
   }
-}
-
-TEST(SmallKWindowed, ReroutedBlocksAreCounted) {
-  // K=816 under-runs the window minimum only where windows split 4 ways
-  // (816/4 = 204 < 256); AVX2's halves are long enough (408).
-  if (best_isa() < IsaLevel::kAvx512) {
-    GTEST_SKIP() << "needs the 4-window AVX-512 tier";
-  }
-  obs::MetricsRegistry reg;
-  auto cfg = smallk_config(IsaLevel::kAvx512, /*batch_decode=*/false);
-  cfg.metrics = &reg;
-  UplinkPipeline ul(cfg);
-  ASSERT_TRUE(ul.send_packet(smallk_payload()).crc_ok);
-  EXPECT_EQ(reg.snapshot().counter("decode.smallk_rerouted"), 1u);
-}
-
-TEST(SmallKWindowed, SafeBlockLengthsAreNotRerouted) {
-  EXPECT_FALSE(phy::windowed_window_too_short(816, IsaLevel::kScalar));
-  EXPECT_FALSE(phy::windowed_window_too_short(816, IsaLevel::kSse41));
-  EXPECT_FALSE(phy::windowed_window_too_short(816, IsaLevel::kAvx2));
-  EXPECT_TRUE(phy::windowed_window_too_short(816, IsaLevel::kAvx512));
-  EXPECT_TRUE(phy::windowed_window_too_short(511, IsaLevel::kAvx2));
-  // The default bench geometry (K=4224/4160) stays windowed everywhere.
-  EXPECT_FALSE(phy::windowed_window_too_short(4224, IsaLevel::kAvx512));
-  EXPECT_FALSE(phy::windowed_window_too_short(4160, IsaLevel::kAvx512));
 }
 
 // ---------------------------------------------------------------------------
@@ -224,13 +193,13 @@ std::vector<std::vector<std::uint8_t>> same_packet_per_flow(
   return std::vector<std::vector<std::uint8_t>>(flows, pkt);
 }
 
-TEST(CrossTbSched, RaggedAndSingletonGroupsDecodeAndFillLanes) {
+TEST(CrossTbSched, FullSameKGroupsFirstThenMixedLeftovers) {
   if (best_isa() < IsaLevel::kAvx512) {
     GTEST_SKIP() << "lane-fill arithmetic below assumes 4 lane groups";
   }
   // One UE: a 1500-byte MCS-20 TB segments into 3 blocks (2 x K+ and
-  // 1 x K-), so per-TB-equivalent scheduling yields one ragged pair and
-  // one singleton fallback group: 3 of 8 available lanes fill.
+  // 1 x K-). No K fills a group, so all three pack into one mixed group:
+  // 3 of 4 lanes.
   const auto cfgs1 = flow_configs(IsaLevel::kAvx512, 25.0, 1, 1);
   BatchRunner one(BatchRunner::Direction::kUplink, cfgs1, 1);
   auto res = one.run_tti(same_packet_per_flow(1, 1500));
@@ -238,13 +207,14 @@ TEST(CrossTbSched, RaggedAndSingletonGroupsDecodeAndFillLanes) {
   ASSERT_EQ(res[0].code_blocks, 3u);
   const auto& s1 = one.decode_scheduler()->stats();
   EXPECT_EQ(s1.blocks, 3u);
-  EXPECT_EQ(s1.batch_groups, 2u);  // {K+, K+} ragged + {K-} singleton
+  EXPECT_EQ(s1.batch_groups, 1u);  // {K+, K+, K-}
+  EXPECT_EQ(s1.mixed_groups, 1u);
   EXPECT_EQ(s1.windowed_blocks, 0u);
   EXPECT_EQ(s1.lanes_filled, 3u);
-  EXPECT_EQ(s1.lanes_available, 8u);
+  EXPECT_EQ(s1.lanes_available, 4u);
 
-  // Two UEs with the same geometry: the scheduler merges their blocks —
-  // one FULL 4-lane K+ group plus a K- pair — doubling lane fill.
+  // Two UEs with the same geometry: the four K+ blocks form one FULL
+  // same-K group first, and the two K- blocks are left over as a pair.
   const auto cfgs2 = flow_configs(IsaLevel::kAvx512, 25.0, 1, 2);
   BatchRunner two(BatchRunner::Direction::kUplink, cfgs2, 1);
   res = two.run_tti(same_packet_per_flow(2, 1500));
@@ -253,27 +223,56 @@ TEST(CrossTbSched, RaggedAndSingletonGroupsDecodeAndFillLanes) {
   const auto& s2 = two.decode_scheduler()->stats();
   EXPECT_EQ(s2.blocks, 6u);
   EXPECT_EQ(s2.batch_groups, 2u);  // {K+ x4} full + {K- x2}
+  EXPECT_EQ(s2.mixed_groups, 0u);
   EXPECT_EQ(s2.lanes_filled, 6u);
   EXPECT_EQ(s2.lanes_available, 8u);
-  EXPECT_GT(s2.fill(), s1.fill());
-  EXPECT_EQ(s2.groups_per_k.size(), 2u);  // one K+ and one K- group
 }
 
-TEST(CrossTbSched, SingleBlockTbsStayWindowedUnlessUnsafe) {
-  // A 300-byte MCS-20 TB is one large code block: flow policy keeps it
-  // on the (safe-length) windowed path even with batching enabled.
-  const auto cfgs = flow_configs(best_isa(), 25.0, 1, 2);
-  BatchRunner runner(BatchRunner::Direction::kUplink, cfgs, 1);
-  const auto res = runner.run_tti(same_packet_per_flow(2, 300));
-  ASSERT_TRUE(res[0].crc_ok);
-  ASSERT_EQ(res[0].code_blocks, 1u);
-  const auto& s = runner.decode_scheduler()->stats();
-  EXPECT_EQ(s.blocks, 2u);
-  if (best_isa() >= IsaLevel::kAvx2) {
-    EXPECT_EQ(s.windowed_blocks, 2u);
-    EXPECT_EQ(s.batch_groups, 0u);
+TEST(CrossTbSched, SingleBlockTbsPackIntoMixedGroupsForAnyWorkerCount) {
+  // Six UEs with single-block TBs of six different K: they share lane
+  // groups in K order (4 + 2 at AVX-512, 2 + 2 + 2 at AVX2, one per group
+  // at SSE and scalar), with the same packing and egress for 1 and 4
+  // workers.
+  const int sizes[] = {100, 350, 200, 600, 450, 300};
+  const std::size_t flows = std::size(sizes);
+  std::vector<std::vector<std::uint8_t>> packets;
+  net::FlowConfig fc;
+  fc.proto = net::L4Proto::kUdp;
+  for (const int bytes : sizes) {
+    fc.packet_bytes = bytes;
+    packets.push_back(net::PacketGenerator(fc).next());
   }
-  EXPECT_EQ(s.smallk_rerouted, 0u);
+  const IsaLevel isa = best_isa();
+  const auto cap = static_cast<std::uint64_t>(
+      phy::TurboBatchDecoder::lane_capacity(isa));
+  std::vector<PacketResult> reference;
+  DecodeScheduler::Stats ref_stats;
+  for (const int workers : {1, 4}) {
+    BatchRunner runner(BatchRunner::Direction::kUplink,
+                       flow_configs(isa, 25.0, 1, flows), workers);
+    const auto res = runner.run_tti(packets);
+    const auto& s = runner.decode_scheduler()->stats();
+    for (std::size_t f = 0; f < flows; ++f) {
+      ASSERT_EQ(res[f].code_blocks, 1u) << sizes[f];
+      EXPECT_TRUE(res[f].delivered) << sizes[f];
+    }
+    EXPECT_EQ(s.blocks, flows);
+    EXPECT_EQ(s.batch_groups, (flows + cap - 1) / cap);
+    EXPECT_EQ(s.mixed_groups, cap > 1 ? s.batch_groups : 0u);
+    EXPECT_EQ(s.lanes_filled, flows);
+    EXPECT_EQ(s.windowed_blocks, 0u);
+    if (workers == 1) {
+      reference = res;
+      ref_stats = s;
+      continue;
+    }
+    EXPECT_EQ(s.batch_groups, ref_stats.batch_groups);
+    EXPECT_EQ(s.mixed_groups, ref_stats.mixed_groups);
+    EXPECT_EQ(s.lanes_available, ref_stats.lanes_available);
+    for (std::size_t f = 0; f < flows; ++f) {
+      EXPECT_EQ(res[f].egress, reference[f].egress) << sizes[f];
+    }
+  }
 }
 
 }  // namespace

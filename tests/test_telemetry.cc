@@ -48,6 +48,17 @@
 namespace vran {
 namespace {
 
+/// `name` under the test temp dir, suffixed with a per-process id, so
+/// concurrent copies of this binary never share a socket or directory.
+std::string unique_temp_path(const std::string& name) {
+#if VRAN_TEST_SOCKETS
+  const auto id = static_cast<long long>(::getpid());
+#else
+  const auto id = std::chrono::steady_clock::now().time_since_epoch().count();
+#endif
+  return ::testing::TempDir() + name + "_" + std::to_string(id);
+}
+
 // ------------------------------------------------------------ recorder --
 
 obs::FlightRecorderConfig small_recorder(int before = 3, int after = 2) {
@@ -182,7 +193,8 @@ TEST(FlightRecorder, FlushCapturesTruncatedAftermath) {
 
 TEST(FlightRecorder, PollAndDumpWritesPostmortemJson) {
   auto fc = small_recorder(/*before=*/1, /*after=*/0);
-  fc.dir = ::testing::TempDir();
+  fc.dir = unique_temp_path("vran_flight_dump");
+  std::filesystem::create_directories(fc.dir);
   obs::FlightRecorder fr(fc);
   EXPECT_EQ(fr.poll_and_dump(), "");  // nothing pending yet
 
@@ -203,7 +215,7 @@ TEST(FlightRecorder, PollAndDumpWritesPostmortemJson) {
   EXPECT_NE(json.find("\"stages\":[\"alpha\",\"beta\"]"), std::string::npos);
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("tti_1_MISS"), std::string::npos);
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(fc.dir);
 }
 
 TEST(FlightRecorder, CapacityClampedToFitWindow) {
@@ -306,7 +318,7 @@ std::string unix_request(const std::string& path, const char* req,
 }
 
 TEST(TelemetryPublisher, SocketServesMetricsJsonAndStream) {
-  const std::string sock = ::testing::TempDir() + "vran_tel_test.sock";
+  const std::string sock = unique_temp_path("vran_tel_test.sock");
   obs::MetricsRegistry reg;
   reg.counter("app.events").add(42);
 
@@ -444,8 +456,7 @@ TEST(FlightPostmortem, FaultForcedMissIdentifiesTurboDecode) {
 }
 
 TEST(FlightPostmortem, RunnerWritesPostmortemFileEndToEnd) {
-  const std::string dir =
-      ::testing::TempDir() + "vran_postmortems_e2e";
+  const std::string dir = unique_temp_path("vran_postmortems_e2e");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 

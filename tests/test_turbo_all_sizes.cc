@@ -33,7 +33,9 @@ AlignedVector<std::int16_t> codeword_to_llr(const TurboCodeword& cw,
 }
 
 TEST(AllSizes, EverySizeDivisibleByEight) {
-  // The windowed SIMD decoder relies on K % 8 == 0 for all legal sizes.
+  // The windowed SIMD decoder and the batched decoder's right-aligned
+  // groups (4-step extrinsic rounds, 8-step hard decisions) rely on
+  // K % 8 == 0 for all legal sizes.
   for (const int k : qpp_block_sizes()) {
     EXPECT_EQ(k % 8, 0) << k;
   }
@@ -146,6 +148,82 @@ TEST(AllSizes, BatchedMatchesSingleEverySize) {
           << "K=" << k << " nb=" << nb << " block " << b;
       ASSERT_EQ(results[static_cast<std::size_t>(b)].iterations, rr.iterations)
           << "K=" << k << " nb=" << nb << " block " << b;
+    }
+  }
+}
+
+TEST(AllSizes, MixedGroupsMatchScalarEverySize) {
+  // All 188 K through one K-agnostic batched decoder per tier, scalar
+  // included, in mixed lane groups: sizes are taken from both ends of
+  // the table in turn (40, 6144, 48, 6080, ...), so every K decodes
+  // right-aligned beside much longer and much shorter blocks. Each block
+  // must match the scalar single-block reference exactly.
+  const auto sizes = qpp_block_sizes();
+  std::vector<int> order;
+  for (std::size_t lo = 0, hi = sizes.size(); lo < hi;) {
+    order.push_back(sizes[lo++]);
+    if (lo < hi) order.push_back(sizes[--hi]);
+  }
+  struct Block {
+    AlignedVector<std::int16_t> sys, p1, p2;
+    std::vector<std::uint8_t> ref;
+    int iterations = 0;
+  };
+  TurboDecodeConfig scfg;
+  scfg.isa = IsaLevel::kScalar;
+  scfg.simd = false;
+  scfg.max_iterations = 2;
+  std::vector<Block> blocks;
+  for (const int k : order) {
+    const std::size_t nt = static_cast<std::size_t>(k) + kTurboTail;
+    const auto cw = turbo_encode(random_bits(
+        static_cast<std::size_t>(k), 5000 + static_cast<std::uint64_t>(k)));
+    Xoshiro256 noise(9000 + static_cast<std::uint64_t>(k));
+    Block b;
+    b.sys.resize(nt);
+    b.p1.resize(nt);
+    b.p2.resize(nt);
+    const auto jitter = [&]() {
+      return static_cast<std::int16_t>(static_cast<int>(noise.next() % 19) - 9);
+    };
+    for (std::size_t t = 0; t < nt; ++t) {
+      b.sys[t] = static_cast<std::int16_t>((cw.d0[t] ? 6 : -6) + jitter());
+      b.p1[t] = static_cast<std::int16_t>((cw.d1[t] ? 6 : -6) + jitter());
+      b.p2[t] = static_cast<std::int16_t>((cw.d2[t] ? 6 : -6) + jitter());
+    }
+    b.ref.resize(static_cast<std::size_t>(k));
+    TurboDecoder sdec(k, scfg);
+    b.iterations = sdec.decode_arranged(b.sys, b.p1, b.p2, b.ref).iterations;
+    blocks.push_back(std::move(b));
+  }
+
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    if (isa > best_isa()) continue;
+    TurboBatchConfig bcfg;
+    bcfg.isa = isa;
+    bcfg.max_iterations = 2;
+    TurboBatchDecoder bdec(6144, bcfg);
+    const std::size_t cap = static_cast<std::size_t>(bdec.capacity());
+    for (std::size_t g = 0; g < blocks.size(); g += cap) {
+      const std::size_t nb = std::min(cap, blocks.size() - g);
+      std::vector<TurboBatchInput> inputs;
+      std::vector<std::vector<std::uint8_t>> outs(nb);
+      std::vector<std::span<std::uint8_t>> out_spans;
+      for (std::size_t b = 0; b < nb; ++b) {
+        const Block& blk = blocks[g + b];
+        inputs.push_back({blk.sys, blk.p1, blk.p2});
+        outs[b].resize(blk.ref.size());
+        out_spans.emplace_back(outs[b]);
+      }
+      std::vector<TurboBatchResult> results(nb);
+      bdec.decode_arranged(inputs, out_spans, results);
+      for (std::size_t b = 0; b < nb; ++b) {
+        ASSERT_EQ(outs[b], blocks[g + b].ref)
+            << "K=" << order[g + b] << " isa=" << isa_name(isa);
+        ASSERT_EQ(results[b].iterations, blocks[g + b].iterations)
+            << "K=" << order[g + b] << " isa=" << isa_name(isa);
+      }
     }
   }
 }

@@ -1,15 +1,20 @@
-// Batched-lane turbo decoder: bit-exactness against the single-block
-// decoder at every register width, lane compaction / early-termination
-// voting behaviour, exactness with saturated branch sums, and the
-// decoder edge-case regressions fixed alongside the batch work (stale
-// hard_ on zero-iteration configs, reused-decoder determinism).
+// Batched-lane turbo decoder: bit-exactness against the scalar
+// single-block reference at every tier, scalar included, for same-K and
+// mixed-K groups, lane compaction / early-termination voting behaviour
+// (with the group shrinking or keeping its longest block), exactness with
+// saturated branch sums, and the decoder edge-case regressions fixed
+// alongside the batch work (stale hard_ on zero-iteration configs,
+// reused-decoder determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "phy/crc/crc.h"
+#include "phy/turbo/qpp_interleaver.h"
 #include "phy/turbo/turbo_batch.h"
 #include "phy/turbo/turbo_decoder.h"
 #include "phy/turbo/turbo_encoder.h"
@@ -54,15 +59,15 @@ NoisyBlock make_block(int k, std::uint64_t seed, int amp, int noise,
   return nb;
 }
 
-/// Single-block reference: the one-window SSE decoder at the same
-/// iteration config, which runs the batch kernels' op sequence. (The
-/// scalar reference agrees with it on unsaturated inputs; on railed
-/// inputs the two part ways, see ROADMAP item 3.)
+/// Single-block reference: the scalar decoder at the same iteration
+/// config. Every batched tier runs its op sequence per lane, so it
+/// agrees bit for bit, railed inputs included.
 TurboDecodeResult decode_single(const NoisyBlock& nb, int k,
                                 std::span<std::uint8_t> out, int max_it,
                                 bool crc24b, bool force = false) {
   TurboDecodeConfig cfg;
-  cfg.isa = IsaLevel::kSse41;
+  cfg.isa = IsaLevel::kScalar;
+  cfg.simd = false;
   cfg.max_iterations = max_it;
   if (crc24b) cfg.crc = CrcType::k24B;
   TurboDecoder dec(k, cfg);
@@ -112,9 +117,11 @@ void expect_batch_matches_single(IsaLevel isa, int k, int batch_size,
   }
 }
 
-TEST(TurboBatch, MatchesSingleSseAtEveryTierFullBatch) {
-  for (const IsaLevel isa :
-       {IsaLevel::kSse41, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+constexpr IsaLevel kAllTiers[] = {IsaLevel::kScalar, IsaLevel::kSse41,
+                                  IsaLevel::kAvx2, IsaLevel::kAvx512};
+
+TEST(TurboBatch, MatchesSingleAtEveryTierFullBatch) {
+  for (const IsaLevel isa : kAllTiers) {
     if (isa > best_isa()) continue;
     const int cap = TurboBatchDecoder::lane_capacity(isa);
     for (const int k : {40, 512, 2432, 6144}) {
@@ -257,8 +264,7 @@ TEST(TurboBatch, SaturatedInputsMatchSingleAtEveryTier) {
   // The demapper cap, the symmetric HARQ-combining clamp, and the full
   // int16 range.
   const Rails rails[] = {{4095, -4095}, {32767, -32767}, {32767, -32768}};
-  for (const IsaLevel isa :
-       {IsaLevel::kSse41, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+  for (const IsaLevel isa : kAllTiers) {
     if (isa > best_isa()) continue;
     const int cap = TurboBatchDecoder::lane_capacity(isa);
     for (const int k : {40, 1024, 6144}) {
@@ -393,9 +399,8 @@ TEST(TurboDecoderRegression, ReusedDecoderOutputIndependentOfHistory) {
 }
 
 TEST(TurboBatch, RejectsBadGeometry) {
-  TurboBatchConfig bc;
-  bc.isa = IsaLevel::kScalar;
-  EXPECT_THROW(TurboBatchDecoder(512, bc), std::invalid_argument);
+  // k_max must be a legal block size.
+  EXPECT_THROW(TurboBatchDecoder(500), std::invalid_argument);
 
   TurboBatchDecoder dec(512);
   std::vector<TurboBatchInput> none;
@@ -403,6 +408,179 @@ TEST(TurboBatch, RejectsBadGeometry) {
   std::vector<TurboBatchResult> results;
   EXPECT_THROW(dec.decode_arranged(none, outs, results),
                std::invalid_argument);
+
+  // A block longer than the decoder's k_max.
+  const auto long_block = make_block(1024, 5, 6, 0);
+  const std::vector<TurboBatchInput> in = {
+      {long_block.sys, long_block.p1, long_block.p2}};
+  std::vector<std::uint8_t> bits(1024);
+  outs = {bits};
+  results.resize(1);
+  EXPECT_THROW(dec.decode_arranged(in, outs, results), std::invalid_argument);
+}
+
+TEST(TurboBatch, ScalarTierDecodesOneLane) {
+  TurboBatchConfig bc;
+  bc.isa = IsaLevel::kScalar;
+  const TurboBatchDecoder dec(512, bc);
+  EXPECT_EQ(dec.capacity(), 1);
+  EXPECT_EQ(dec.max_block_size(), 512);
+}
+
+// ---------------------------------------------------------------------------
+// Mixed-K lane groups: right-aligned blocks of different K in one call.
+// ---------------------------------------------------------------------------
+
+struct MixedCase {
+  std::vector<int> ks;
+  std::vector<NoisyBlock> blocks;
+  std::vector<std::uint8_t> force;
+};
+
+/// Decode `mc` as one group with `dec` and compare every block with the
+/// scalar single-block reference at `max_it` iterations.
+std::vector<TurboBatchResult> expect_group_matches_single(
+    TurboBatchDecoder& dec, const MixedCase& mc, int max_it,
+    const std::string& what) {
+  const std::size_t nb = mc.blocks.size();
+  std::vector<TurboBatchInput> inputs;
+  std::vector<std::vector<std::uint8_t>> outs(nb);
+  std::vector<std::span<std::uint8_t>> out_spans;
+  for (std::size_t b = 0; b < nb; ++b) {
+    outs[b].resize(static_cast<std::size_t>(mc.ks[b]));
+    inputs.push_back({mc.blocks[b].sys, mc.blocks[b].p1, mc.blocks[b].p2});
+    out_spans.emplace_back(outs[b]);
+  }
+  std::vector<TurboBatchResult> results(nb);
+  dec.decode_arranged(inputs, out_spans, results, mc.force);
+  for (std::size_t b = 0; b < nb; ++b) {
+    std::vector<std::uint8_t> ref(static_cast<std::size_t>(mc.ks[b]));
+    const bool forced = !mc.force.empty() && mc.force[b] != 0;
+    const auto rr =
+        decode_single(mc.blocks[b], mc.ks[b], ref, max_it, true, forced);
+    EXPECT_EQ(outs[b], ref) << what << " block " << b << " K=" << mc.ks[b];
+    EXPECT_EQ(results[b].iterations, rr.iterations)
+        << what << " block " << b << " K=" << mc.ks[b];
+    EXPECT_EQ(results[b].crc_ok, rr.crc_ok) << what << " block " << b;
+    EXPECT_EQ(results[b].converged, rr.converged) << what << " block " << b;
+  }
+  return results;
+}
+
+int random_k(Xoshiro256& rng) {
+  const auto sizes = qpp_block_sizes();
+  return sizes[static_cast<std::size_t>(rng.bounded(sizes.size()))];
+}
+
+TEST(TurboBatchMixed, RandomKSetsMatchSingleAtEveryTier) {
+  // Random K per lane, with 40 next to 6144 in every other set and, in
+  // the others, lanes that repeat their neighbour's K (runs of lanes that
+  // share one permutation copy); noise levels from clean to several
+  // iterations, so lanes converge and compact at different iterations.
+  // One decoder per tier serves every set, so its QPP tables are
+  // refilled and reused across calls.
+  for (const IsaLevel isa : kAllTiers) {
+    if (isa > best_isa()) continue;
+    TurboBatchConfig bc;
+    bc.isa = isa;
+    bc.crc = CrcType::k24B;
+    TurboBatchDecoder dec(6144, bc);
+    const int cap = dec.capacity();
+    Xoshiro256 rng(0x4D1C + static_cast<std::uint64_t>(isa));
+    for (int set = 0; set < 6; ++set) {
+      MixedCase mc;
+      for (int b = 0; b < cap; ++b) {
+        int k = random_k(rng);
+        if (set % 2 == 0 && b == 0) k = 40;
+        if (set % 2 == 0 && b == cap - 1 && cap > 1) k = 6144;
+        if (set % 2 == 1 && b > 0 && rng.coin()) k = mc.ks.back();
+        mc.ks.push_back(k);
+        const int noise = static_cast<int>(rng.bounded(10));
+        mc.blocks.push_back(make_block(k, rng.next(), 6, noise, true));
+      }
+      expect_group_matches_single(
+          dec, mc, 6,
+          std::string(isa_name(isa)) + " set " + std::to_string(set));
+    }
+  }
+}
+
+TEST(TurboBatchMixed, ForcedIterationsMatchSingleAtEveryTier) {
+  for (const IsaLevel isa : kAllTiers) {
+    if (isa > best_isa()) continue;
+    TurboBatchConfig bc;
+    bc.isa = isa;
+    bc.crc = CrcType::k24B;
+    TurboBatchDecoder dec(6144, bc);
+    const int ks[] = {6144, 40, 2016, 512};
+    MixedCase mc;
+    for (int b = 0; b < dec.capacity(); ++b) {
+      mc.ks.push_back(ks[b]);
+      mc.blocks.push_back(
+          make_block(ks[b], 70 + static_cast<std::uint64_t>(b), 40, 0, true));
+      mc.force.push_back(static_cast<std::uint8_t>(b % 2 == 0));
+    }
+    expect_group_matches_single(dec, mc, 6, isa_name(isa));
+  }
+}
+
+TEST(TurboBatchMixed, RailedInputsMatchScalarAtEveryTier) {
+  const std::int16_t rails[][2] = {{4095, -4095}, {32767, -32768}};
+  for (const IsaLevel isa : kAllTiers) {
+    if (isa > best_isa()) continue;
+    TurboBatchConfig bc;
+    bc.isa = isa;
+    bc.crc = CrcType::k24B;
+    TurboBatchDecoder dec(6144, bc);
+    const int ks[] = {1024, 6144, 40, 3520};
+    for (const auto& r : rails) {
+      MixedCase mc;
+      for (int b = 0; b < dec.capacity(); ++b) {
+        mc.ks.push_back(ks[b]);
+        mc.blocks.push_back(make_railed_block(
+            ks[b], 5000 + static_cast<std::uint64_t>(ks[b] + b), r[0], r[1]));
+        mc.force.push_back(1);
+      }
+      expect_group_matches_single(
+          dec, mc, 6,
+          std::string(isa_name(isa)) + " rails " + std::to_string(r[0]));
+    }
+  }
+}
+
+/// Four AVX-512 lanes: the two clean blocks stop after iteration 1,
+/// which compacts the group to two lanes around the noisy survivors.
+void expect_compaction_matches(const int (&ks)[4]) {
+  if (IsaLevel::kAvx512 > best_isa()) {
+    GTEST_SKIP() << "no AVX-512 on this host";
+  }
+  TurboBatchConfig bc;
+  bc.isa = IsaLevel::kAvx512;
+  bc.crc = CrcType::k24B;
+  TurboBatchDecoder dec(6144, bc);
+  MixedCase mc;
+  for (int b = 0; b < 4; ++b) {
+    mc.ks.push_back(ks[b]);
+    mc.blocks.push_back(b < 2 ? make_block(ks[b], 80 + b, 60, 0, true)
+                              : make_block(ks[b], 90 + b, 5, 9, true));
+  }
+  const auto res = expect_group_matches_single(dec, mc, 6, "compaction");
+  EXPECT_EQ(res[0].iterations, 1);
+  EXPECT_EQ(res[1].iterations, 1);
+  EXPECT_GT(res[2].iterations, 1);
+  EXPECT_GT(res[3].iterations, 1);
+}
+
+TEST(TurboBatchMixed, CompactionShrinksTheGroupMidDecode) {
+  // The 6144 and 5056 blocks converge first: the survivors re-align on
+  // their own longest block (1024), so the group shrinks mid-decode.
+  expect_compaction_matches({6144, 5056, 1024, 512});
+}
+
+TEST(TurboBatchMixed, CompactionKeepsTheLongestSurvivor) {
+  // The short blocks converge first: the 6144 block survives, so the
+  // compacted group keeps its length and its other survivor's offset.
+  expect_compaction_matches({40, 1024, 6144, 2048});
 }
 
 }  // namespace

@@ -16,11 +16,14 @@
 // that preserve the mismatch) and writes a reproducer dump (seed +
 // config JSON) that `--replay <file>` re-executes exactly.
 //
-// Each case randomizes batched-lane turbo decoding on/off alongside the
-// other knobs; `--batched` forces it ON for every case so a run's whole
-// budget differentially tests the batch kernels (batched wide tiers are
-// bit-exact with scalar by construction — any disagreement is a real
-// batch bug, not the windowed boundary-metric caveat).
+// Every tier decodes on the one exact batched turbo route, so the tiers
+// must agree on every case, at waterfall SNRs too. Some cases also rail
+// a burst of LLRs at full scale (the LLR fault points), which every
+// tier, scalar included, must decode identically. `--batched` turns
+// each case into one BatchRunner TTI that adds 1-7 single-block UEs of
+// random size and MCS to the case's flow, so the decode scheduler packs
+// mixed-K lane groups and the strict oracle covers the right-aligned
+// batch kernels.
 //
 // Determinism: all randomness derives from VRAN_SEED streams (rng.h), so
 // CI runs are reproducible; `--seed` overrides for ad-hoc exploration.
@@ -45,7 +48,10 @@
 #include "common/cpu_features.h"
 #include "common/rng.h"
 #include "mac/mac_pdu.h"
+#include "fault/fault.h"
 #include "mac/tbs_tables.h"
+#include "phy/segmentation/segmentation.h"
+#include "pipeline/batch_runner.h"
 #include "pipeline/pipeline.h"
 
 using namespace vran;
@@ -63,11 +69,12 @@ struct FuzzCase {
   bool with_channel = true;
   int harq_max_tx = 1;
   arrange::Method arrange_method = arrange::Method::kApcm;
-  /// Batched-lane turbo decoding (one code block per SIMD lane group).
-  /// Batched tiers are bit-exact with the scalar reference by
-  /// construction, so any disagreement is a real kernel bug — unlike the
-  /// windowed wide tiers, whose boundary metrics are approximate.
-  bool batch_decode = true;
+  /// Rail a burst of LLRs at full scale (and sign-flip another) in every
+  /// transmission, through the pipeline's LLR fault points.
+  bool llr_faults = false;
+  /// Nonzero: decode this case's packet in one BatchRunner TTI next to
+  /// 1-7 single-block UEs drawn from this seed (mixed_flows).
+  std::uint64_t mixed_seed = 0;
   int num_workers = 1;
   std::uint64_t noise_seed = 99;
   std::uint16_t rnti = 0x1234;
@@ -81,13 +88,16 @@ struct FuzzCase {
   int ofdm_cp_len = 36;
 };
 
-struct TierResult {
+struct FlowResult {
   bool crc_ok = false;
   int transmissions = 0;
   std::vector<std::uint8_t> egress;
 
-  bool operator==(const TierResult&) const = default;
+  bool operator==(const FlowResult&) const = default;
 };
+
+/// The case's flow first, then any extra mixed-K flows.
+using TierResult = std::vector<FlowResult>;
 
 std::vector<std::uint8_t> make_payload(const FuzzCase& c) {
   Xoshiro256 rng(c.payload_seed);
@@ -96,15 +106,67 @@ std::vector<std::uint8_t> make_payload(const FuzzCase& c) {
   return p;
 }
 
+/// SNR band per modulation order (bits per symbol).
+double draw_snr_db(int qm, Xoshiro256& rng) {
+  // QPSK and 16QAM reach well past the SNRs where uncapped demapper LLRs
+  // used to overflow the turbo metrics (modulation.h, kLlrMagnitudeCap),
+  // so the saturated-LLR region stays covered. 64-QAM starts at 14 dB,
+  // inside the waterfall: with one exact decode route the tiers must
+  // agree on marginal blocks too. Dumps record snr_db itself, so older
+  // reproducers replay unchanged.
+  if (qm == 2) return 10.0 + rng.uniform() * 25.0;
+  if (qm == 4) return 16.0 + rng.uniform() * 16.0;
+  return 14.0 + rng.uniform() * 14.0;
+}
+
+/// One extra single-block UE of a mixed-K case.
+struct MixedFlow {
+  int packet_bytes = 0;
+  std::uint64_t payload_seed = 0;
+  int mcs = 0;
+  double snr_db = 0;
+  std::uint64_t noise_seed = 0;
+};
+
+/// The 1-7 extra UEs a nonzero mixed_seed stands for: random MCS and
+/// size, each shrunk until its transport block is one code block.
+std::vector<MixedFlow> mixed_flows(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<MixedFlow> flows(1 + rng.bounded(7));
+  for (auto& f : flows) {
+    f.mcs = 3 + static_cast<int>(rng.bounded(26));
+    f.snr_db = draw_snr_db(mac::mcs_entry(f.mcs).modulation_bits, rng);
+    f.packet_bytes = 20 + static_cast<int>(rng.bounded(700));
+    while (true) {
+      const int payload_bits =
+          (f.packet_bytes + static_cast<int>(mac::kMacHeaderBytes)) * 8;
+      const int tbs = mac::transport_block_bits(
+          f.mcs, mac::prbs_for_payload(payload_bits, f.mcs, 100));
+      if (tbs + 24 <= phy::kMaxCodeBlock) break;
+      f.packet_bytes /= 2;
+    }
+    f.payload_seed = rng.next() | 1;
+    f.noise_seed = rng.next();
+  }
+  return flows;
+}
+
 TierResult run_tier(const FuzzCase& c, IsaLevel isa,
                     const std::string& break_tier) {
+  std::optional<fault::FaultInjector> faults;
+  if (c.llr_faults) {
+    fault::FaultPlan plan;
+    plan.enable(fault::FaultPoint::kLlrSaturate, 1.0);
+    plan.enable(fault::FaultPoint::kLlrSignFlip, 0.5);
+    faults.emplace(plan, c.noise_seed ^ 0x5A7, nullptr);
+  }
   pipeline::PipelineConfig cfg;
   cfg.mcs = c.mcs;
   cfg.max_prb = 100;
   cfg.snr_db = c.snr_db;
   cfg.isa = isa;
   cfg.arrange_method = c.arrange_method;
-  cfg.batch_decode = c.batch_decode;
+  cfg.fault = faults ? &*faults : nullptr;
   cfg.rnti = c.rnti;
   cfg.cell_id = c.cell_id;
   cfg.teid = c.teid;
@@ -116,16 +178,35 @@ TierResult run_tier(const FuzzCase& c, IsaLevel isa,
   cfg.noise_seed = c.noise_seed;
   cfg.num_workers = c.num_workers;
   cfg.metrics = nullptr;
-  pipeline::UplinkPipeline ul(cfg);
-  const auto payload = make_payload(c);
-  const auto r = ul.send_packet(payload);
+  std::vector<pipeline::PacketResult> results;
+  if (c.mixed_seed == 0) {
+    pipeline::UplinkPipeline ul(cfg);
+    results.push_back(ul.send_packet(make_payload(c)));
+  } else {
+    std::vector<pipeline::PipelineConfig> cfgs = {cfg};
+    std::vector<std::vector<std::uint8_t>> packets = {make_payload(c)};
+    for (const MixedFlow& f : mixed_flows(c.mixed_seed)) {
+      auto& fc = cfgs.emplace_back(cfg);
+      fc.mcs = f.mcs;
+      fc.snr_db = f.snr_db;
+      fc.noise_seed = f.noise_seed;
+      fc.rnti = static_cast<std::uint16_t>(c.rnti + cfgs.size() - 1);
+      FuzzCase fcase;
+      fcase.packet_bytes = f.packet_bytes;
+      fcase.payload_seed = f.payload_seed;
+      packets.push_back(make_payload(fcase));
+    }
+    pipeline::BatchRunner runner(pipeline::BatchRunner::Direction::kUplink,
+                                 cfgs, c.num_workers);
+    results = runner.run_tti(packets);
+  }
   TierResult out;
-  out.crc_ok = r.crc_ok;
-  out.transmissions = r.transmissions;
-  out.egress = r.egress;
-  if (!break_tier.empty() && break_tier == isa_name(isa) &&
-      !out.egress.empty()) {
-    out.egress.front() ^= 0x01;  // simulated kernel bug on this tier
+  for (const auto& r : results) {
+    out.push_back({r.crc_ok, r.transmissions, r.egress});
+  }
+  auto& egress = out.front().egress;
+  if (!break_tier.empty() && break_tier == isa_name(isa) && !egress.empty()) {
+    egress.front() ^= 0x01;  // simulated kernel bug on this tier
   }
   return out;
 }
@@ -176,11 +257,16 @@ FuzzCase minimize(FuzzCase c, const std::string& break_tier) {
     cand.num_workers = 1;
     if (still_fails(cand)) c = cand;
   }
-  if (c.batch_decode) {
-    // If the mismatch survives without batching, the batched path is
-    // exonerated and the reproducer points at the windowed kernels.
+  if (c.mixed_seed != 0) {
+    // If the mismatch survives without the extra UEs, mixed-K packing
+    // is exonerated.
     FuzzCase cand = c;
-    cand.batch_decode = false;
+    cand.mixed_seed = 0;
+    if (still_fails(cand)) c = cand;
+  }
+  if (c.llr_faults) {
+    FuzzCase cand = c;
+    cand.llr_faults = false;
     if (still_fails(cand)) c = cand;
   }
   {
@@ -222,8 +308,8 @@ std::string to_json(const FuzzCase& c, std::uint64_t base_seed,
   os << "  \"arrange_method\": \""
      << (c.arrange_method == arrange::Method::kApcm ? "apcm" : "extract")
      << "\",\n";
-  os << "  \"batch_decode\": " << (c.batch_decode ? "true" : "false")
-     << ",\n";
+  os << "  \"llr_faults\": " << (c.llr_faults ? "true" : "false") << ",\n";
+  os << "  \"mixed_seed\": " << c.mixed_seed << ",\n";
   os << "  \"num_workers\": " << c.num_workers << ",\n";
   os << "  \"noise_seed\": " << c.noise_seed << ",\n";
   os << "  \"ofdm_nfft\": " << c.ofdm_nfft << ",\n";
@@ -293,10 +379,14 @@ std::optional<FuzzCase> parse_dump(const std::string& text,
   c.rnti = static_cast<std::uint16_t>(std::stoul(*rnti));
   c.cell_id = std::stoi(*cell);
   c.teid = static_cast<std::uint32_t>(std::stoul(*teid));
-  // Absent in dumps from before the batched-lane decoder existed;
-  // default matches PipelineConfig.
-  if (const auto bd = json_field(text, "batch_decode")) {
-    c.batch_decode = *bd == "true";
+  // Dumps from before the single decode route also carry
+  // "batch_decode"; it selects nothing any more, so they replay on the
+  // one route. Absent in older dumps: no LLR faults, no extra UEs.
+  if (const auto v = json_field(text, "llr_faults")) {
+    c.llr_faults = *v == "true";
+  }
+  if (const auto v = json_field(text, "mixed_seed")) {
+    c.mixed_seed = std::stoull(*v);
   }
   // Absent in dumps from before OFDM geometry was fuzzed; defaults
   // match OfdmConfig (the only geometry those dumps ever ran).
@@ -311,33 +401,12 @@ std::optional<FuzzCase> parse_dump(const std::string& text,
   return c;
 }
 
-/// Randomize one case. SNR floors track the modulation order so the
-/// operating point sits above the waterfall: the windowed AVX tiers are
-/// functionally (not bit-) equivalent at the MAP-metric level, so at
-/// waterfall SNR tiers can legitimately disagree on a marginal block —
-/// that is the paper's documented boundary-metric caveat, not a kernel
-/// bug, and it is not what this harness hunts.
+/// Randomize one case. SNR bands track the modulation order
+/// (draw_snr_db).
 FuzzCase random_case(Xoshiro256& rng) {
   FuzzCase c;
   c.mcs = 3 + static_cast<int>(rng.bounded(26));  // 3..28
-  const int qm = mac::mcs_entry(c.mcs).modulation_bits;
-  // QPSK and 16QAM reach well past the SNRs where uncapped demapper LLRs
-  // used to overflow the turbo metrics (modulation.h, kLlrMagnitudeCap),
-  // so the saturated-LLR region stays covered. Dumps record snr_db
-  // itself, so older reproducers replay unchanged.
-  if (qm == 2) {
-    c.snr_db = 10.0 + rng.uniform() * 25.0;
-  } else if (qm == 4) {
-    c.snr_db = 16.0 + rng.uniform() * 16.0;
-  } else {
-    // 64-QAM floor: 22 dB. PR 7 raised this to 23 dB to keep the
-    // windowed-AVX-512 small-K waterfall defect out of the sample space;
-    // PR 8's windowed_window_too_short reroute fixed that defect at the
-    // routing layer, so the band is reopened — the 22-23 dB slice is
-    // exactly where small marginal blocks live, and dodging it would
-    // just hide coverage (verified clean over a 500-iteration sweep).
-    c.snr_db = 22.0 + rng.uniform() * 6.0;
-  }
+  c.snr_db = draw_snr_db(mac::mcs_entry(c.mcs).modulation_bits, rng);
   // Bound the packet so the TB fits 100 PRBs at this MCS.
   const int max_bytes = mac::transport_block_bits(c.mcs, 100) / 8 - 16;
   const int cap = std::min(1200, max_bytes);
@@ -348,7 +417,6 @@ FuzzCase random_case(Xoshiro256& rng) {
   c.harq_max_tx = 1 + static_cast<int>(rng.bounded(3));
   c.arrange_method =
       rng.coin() ? arrange::Method::kApcm : arrange::Method::kExtract;
-  c.batch_decode = rng.coin();  // cover the windowed path too
   c.num_workers = rng.coin() ? 2 : 1;
   c.noise_seed = rng.next();
   // OFDM geometry: every power-of-two stage count from 7 to 10, used
@@ -368,6 +436,7 @@ FuzzCase random_case(Xoshiro256& rng) {
   c.rnti = static_cast<std::uint16_t>(1 + rng.bounded(0xFFFE));
   c.cell_id = static_cast<int>(rng.bounded(504));
   c.teid = static_cast<std::uint32_t>(rng.next());
+  c.llr_faults = rng.bounded(8) == 0;
   return c;
 }
 
@@ -378,13 +447,13 @@ int usage() {
       "                         [--break-tier ISA] [--expect-mismatch]\n"
       "                         [--replay FILE] [--selftest] [--quiet]\n"
       "                         [--batched] [--smallk-bias PCT]\n"
-      "  --batched: force batched-lane decoding on for every generated\n"
-      "  case (instead of randomizing it), so every wide tier exercises\n"
-      "  the batch kernels against the scalar reference.\n"
+      "  --batched: decode every case in one multi-UE TTI with 1-7 extra\n"
+      "  single-block UEs of random size and MCS, so the scheduler packs\n"
+      "  mixed-K lane groups, compared strictly across every tier.\n"
       "  --smallk-bias: percent of iterations reshaped into tiny\n"
       "  noiseless single-block transport blocks (<= 64 bytes), the\n"
-      "  geometry where the windowed wide tiers' per-window run-in gets\n"
-      "  short (ROADMAP open item 1 found at such a case). Default 10.\n");
+      "  geometry that once broke the retired windowed wide tiers.\n"
+      "  Default 10.\n");
   return 2;
 }
 
@@ -499,16 +568,15 @@ int main(int argc, char** argv) {
     auto c = random_case(rng);
     if (smallk_bias > 0 &&
         rng.bounded(100) < static_cast<std::uint64_t>(smallk_bias)) {
-      // Reshape into the small-K corner: a tiny noiseless TB is one code
-      // block whose windowed decode splits into short per-window run-ins
-      // on the wide tiers. Noiseless, so any tier disagreement is a
-      // kernel bug, never the waterfall caveat. Drawn AFTER random_case
-      // so unbiased iterations keep their historical case stream.
+      // Reshape into the small-K corner: a tiny noiseless TB is one
+      // short code block, the geometry that once broke the retired
+      // windowed wide tiers. Drawn AFTER random_case so unbiased
+      // iterations keep their case stream.
       c.packet_bytes = 16 + static_cast<int>(rng.bounded(49));  // 16..64
       c.mcs = 20 + static_cast<int>(rng.bounded(9));            // 20..28
       c.with_channel = false;
     }
-    if (batched) c.batch_decode = true;
+    if (batched) c.mixed_seed = rng.next() | 1;
     const auto bad = mismatching_tiers(c, break_tier);
     if (bad.empty()) continue;
     ++mismatches;
