@@ -189,30 +189,36 @@ int main() {
 
   // Mixed-K lane groups: the decode scheduler packs leftover single-block
   // TBs in K-descending groups of lane capacity, right-aligned in the
-  // lanes. One set of four blocks, K {5056, 3520, 2016, 1024}, three ways:
-  // mixed groups; four K=5056 blocks in the same groups (the same-K,
-  // one-copy interleaver path, and the mixed set's padded step count);
-  // the four mixed blocks one per call (one lane each). The three run in
-  // turn for 15 rounds of 8 sets each, and each column is the median
-  // round, so host noise hits all three alike.
+  // lanes. Two sets of four blocks, one spread over K and one skewed (a
+  // long block beside three of the shortest K), each decoded four ways:
+  // mixed groups; four blocks of the set's longest K in the same groups
+  // (the same-K, one-copy interleaver path, and the mixed set's padded
+  // step count); the longest block alone and the rest grouped (what the
+  // scheduler does with a group below kMinGroupFill); and one block per
+  // call (one lane each). The four ways run in turn for 15 rounds of 8
+  // sets each, and each column is the median round, so host noise hits
+  // them alike.
   std::printf(
-      "\nMixed-K groups: four blocks K {5056, 3520, 2016, 1024} "
-      "(forced iterations, us per set of four, median of 15 rounds)\n");
-  std::printf("%-10s %-6s %10s %10s %12s %14s\n", "isa", "iters",
-              "mixed_us", "same_k_us", "singles_us", "singles/mixed");
+      "\nMixed-K groups: sets of four blocks (forced iterations, us per "
+      "set, median of 15 rounds)\n");
+  std::printf("%-22s %-8s %-6s %9s %9s %9s %10s %8s\n", "K set", "isa",
+              "iters", "mixed_us", "same_k_us", "split_us", "singles_us",
+              "singles/mixed");
   bench::print_rule();
-  const std::vector<int> mixed_ks = {5056, 3520, 2016, 1024};
-  // One set decoded `per_call` blocks per call.
+  // Blocks `ks` decoded as one call per group: the first `first` blocks,
+  // then groups of `per_call`.
   const auto make_set = [](IsaLevel isa, const std::vector<int>& ks,
-                           std::size_t per_call, int iters) {
+                           std::size_t first, std::size_t per_call,
+                           int iters) {
     std::vector<bench::hw::Workload> calls;
-    for (std::size_t g = 0; g < ks.size(); g += per_call) {
-      const auto end = std::min(g + per_call, ks.size());
+    for (std::size_t g = 0; g < ks.size();) {
+      const auto end = std::min(g + (g == 0 ? first : per_call), ks.size());
       calls.push_back(bench::hw::wl_turbo_decode_group(
           isa,
           std::vector<int>(ks.begin() + static_cast<std::ptrdiff_t>(g),
                            ks.begin() + static_cast<std::ptrdiff_t>(end)),
           iters));
+      g = end;
     }
     return bench::hw::Workload([calls] {
       for (const auto& c : calls) c();
@@ -222,27 +228,38 @@ int main() {
     std::sort(v.begin(), v.end());
     return v[v.size() / 2];
   };
-  for (auto isa : {IsaLevel::kAvx2, IsaLevel::kAvx512}) {
-    if (isa > best_isa()) {
-      std::printf("%-10s (unavailable on this CPU)\n", isa_name(isa));
-      continue;
-    }
-    const auto cap =
-        static_cast<std::size_t>(TurboBatchDecoder::lane_capacity(isa));
-    for (const int iters : {1, 6}) {
-      const bench::hw::Workload sets[3] = {
-          make_set(isa, mixed_ks, cap, iters),
-          make_set(isa, std::vector<int>(4, mixed_ks.front()), cap, iters),
-          make_set(isa, mixed_ks, 1, iters)};
-      std::vector<double> rounds[3];
-      for (int r = 0; r < 15; ++r) {
-        for (int v = 0; v < 3; ++v) rounds[v].push_back(time_us(sets[v], 8));
+  const std::vector<int> mixed_sets[] = {{5056, 3520, 2016, 1024},
+                                         {5056, 40, 40, 40}};
+  for (const auto& ks : mixed_sets) {
+    char label[32];
+    std::snprintf(label, sizeof label, "{%d,%d,%d,%d}", ks[0], ks[1], ks[2],
+                  ks[3]);
+    for (auto isa : {IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+      if (isa > best_isa()) {
+        std::printf("%-22s %-8s (unavailable on this CPU)\n", label,
+                    isa_name(isa));
+        continue;
       }
-      const double mixed = median(rounds[0]);
-      const double same = median(rounds[1]);
-      const double singles = median(rounds[2]);
-      std::printf("%-10s %-6d %10.2f %10.2f %12.2f %14.2f\n", isa_name(isa),
-                  iters, mixed, same, singles, singles / mixed);
+      const auto cap =
+          static_cast<std::size_t>(TurboBatchDecoder::lane_capacity(isa));
+      for (const int iters : {1, 6}) {
+        const bench::hw::Workload ways[4] = {
+            make_set(isa, ks, cap, cap, iters),
+            make_set(isa, std::vector<int>(4, ks.front()), cap, cap, iters),
+            make_set(isa, ks, 1, cap, iters),
+            make_set(isa, ks, 1, 1, iters)};
+        std::vector<double> rounds[4];
+        for (int r = 0; r < 15; ++r) {
+          for (int v = 0; v < 4; ++v) {
+            rounds[v].push_back(time_us(ways[v], 8));
+          }
+        }
+        const double mixed = median(rounds[0]);
+        const double singles = median(rounds[3]);
+        std::printf("%-22s %-8s %-6d %9.2f %9.2f %9.2f %10.2f %8.2f\n", label,
+                    isa_name(isa), iters, mixed, median(rounds[1]),
+                    median(rounds[2]), singles, singles / mixed);
+      }
     }
   }
   bench::print_rule();

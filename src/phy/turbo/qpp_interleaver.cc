@@ -4,6 +4,7 @@
 #include <array>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace vran::phy {
 
@@ -72,6 +73,17 @@ constexpr std::array<int, 188> make_sizes() {
 
 constexpr auto kSizes = make_sizes();
 
+// Start of each size's entries in the all-sizes table, in table order.
+constexpr std::array<std::size_t, kTable.size() + 1> make_offsets() {
+  std::array<std::size_t, kTable.size() + 1> at{};
+  for (std::size_t i = 0; i < kTable.size(); ++i) {
+    at[i + 1] = at[i] + static_cast<std::size_t>(kTable[i].k);
+  }
+  return at;
+}
+
+constexpr auto kOffsets = make_offsets();
+
 const Row* find_row(int k) {
   const auto it = std::lower_bound(
       kTable.begin(), kTable.end(), k,
@@ -103,22 +115,32 @@ QppCoefficients qpp_coefficients(int k) {
   return {r->f1, r->f2};
 }
 
+QppTable qpp_table(int k) {
+  const Row* r = find_row(k);
+  if (r == nullptr) {
+    throw std::invalid_argument("qpp_table: illegal K " + std::to_string(k));
+  }
+  struct AllSizes {
+    std::vector<std::uint16_t> pi, inv;
+    AllSizes() : pi(kOffsets.back()), inv(kOffsets.back()) {
+      for (std::size_t i = 0; i < kTable.size(); ++i) {
+        qpp_tables(kTable[i].k, pi.data() + kOffsets[i],
+                   inv.data() + kOffsets[i]);
+      }
+    }
+  };
+  static const AllSizes all;
+  const std::size_t at = kOffsets[static_cast<std::size_t>(r - kTable.data())];
+  const std::size_t n = static_cast<std::size_t>(k);
+  return {std::span<const std::uint16_t>(all.pi).subspan(at, n),
+          std::span<const std::uint16_t>(all.inv).subspan(at, n)};
+}
+
 QppInterleaver::QppInterleaver(int k) : k_(k) {
-  const auto [f1, f2] = qpp_coefficients(k);
+  (void)qpp_coefficients(k);  // rejects an illegal K before sizing
   pi_.resize(static_cast<std::size_t>(k));
   inv_.resize(static_cast<std::size_t>(k));
-  // Incremental evaluation avoids 64-bit multiplies:
-  //   Pi(i+1) - Pi(i) = f1 + f2*(2i+1)  (mod K)
-  std::int64_t p = 0;
-  std::int64_t step = (f1 + f2) % k;
-  for (int i = 0; i < k; ++i) {
-    pi_[static_cast<std::size_t>(i)] = static_cast<int>(p);
-    p = (p + step) % k;
-    step = (step + 2 * static_cast<std::int64_t>(f2)) % k;
-  }
-  for (int i = 0; i < k; ++i) {
-    inv_[static_cast<std::size_t>(pi_[static_cast<std::size_t>(i)])] = i;
-  }
+  qpp_tables(k, pi_.data(), inv_.data());
 }
 
 }  // namespace vran::phy

@@ -49,6 +49,15 @@ void qpp_tables(int k, Index* pi, Index* inv) {
   }
 }
 
+/// Pi and its inverse of one legal K, as views into a table of all 188
+/// sizes (355,248 entries per direction, about 1.4 MB in all) that the
+/// first call builds and every later call shares read-only, without
+/// allocating. Throws like qpp_coefficients.
+struct QppTable {
+  std::span<const std::uint16_t> pi, inv;
+};
+QppTable qpp_table(int k);
+
 /// Precomputed permutation and its inverse for one block size.
 class QppInterleaver {
  public:

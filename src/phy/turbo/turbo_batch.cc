@@ -69,21 +69,16 @@ void map_decode_batch(IsaLevel isa, std::size_t k, const std::int16_t* gs_step,
 
 /// Right-aligned batch transpose: dst[step * nw + s] =
 /// srcs[s][step - offs[s]] from step offs[s] on, 0 before it, over n
-/// steps (n and every offset divisible by 8, all pointers 16B-aligned).
-/// SSE2 unpack trees — always available on x86-64, so this lives in the
-/// ISA-neutral TU. `kAligned`: every offset is 0, so no lane reads
-/// padding.
-template <bool kAligned>
+/// steps (n and every offset divisible by 8, all pointers 16B-aligned;
+/// a lane with offset n reads nothing). SSE2 unpack trees — always
+/// available on x86-64, so this lives in the ISA-neutral TU.
 void transpose_step_major(const std::int16_t* const srcs[],
                           const std::size_t offs[], int nw, std::size_t n,
                           std::int16_t* dst) {
   alignas(16) static constexpr std::int16_t kZeros[8] = {};
   // Lane s's eight values of steps k .. k + 7.
   const auto chunk = [&](int s, std::size_t k) {
-    const std::int16_t* p = srcs[s] + k;
-    if constexpr (!kAligned) {
-      p = k >= offs[s] ? srcs[s] + (k - offs[s]) : kZeros;
-    }
+    const std::int16_t* p = k >= offs[s] ? srcs[s] + (k - offs[s]) : kZeros;
     return _mm_load_si128(reinterpret_cast<const __m128i*>(p));
   };
   if (nw == 1) {
@@ -258,11 +253,9 @@ TurboBatchDecoder::TurboBatchDecoder(int k_max, TurboBatchConfig cfg)
   }
   // One LN-wide alpha register per trellis step.
   alpha_ws_.resize(cn * 8);
-  zeros_.resize(static_cast<std::size_t>(k_max_));
   hard_.resize(cn);
   hard_prev_.resize(cn);
-  pi_.resize(cn);
-  pi_inv_.resize(cn);
+  (void)qpp_table(k_max_);  // builds the shared QPP table before decoding
 }
 
 void TurboBatchDecoder::decode_arranged(
@@ -281,9 +274,10 @@ void TurboBatchDecoder::decode_arranged(
     throw std::invalid_argument("TurboBatchDecoder: span count mismatch");
   }
 
-  // Per-block setup: K from the input spans, tails and beta boundary
-  // training.
+  // Per-block setup: K from the input spans, its QPP tables, tails and
+  // beta boundary training.
   std::size_t kb[kMaxLanes] = {};
+  QppTable qpp[kMaxLanes];
   bool converged[kMaxLanes] = {};
   bool have_prev[kMaxLanes] = {};
   for (int b = 0; b < nb; ++b) {
@@ -299,6 +293,7 @@ void TurboBatchDecoder::decode_arranged(
       throw std::invalid_argument("TurboBatchDecoder: bad block sizes");
     }
     kb[b] = n;
+    qpp[b] = qpp_table(static_cast<int>(n));
     const auto sys = in.sys;
     const auto p1 = in.p1;
     const auto p2 = in.p2;
@@ -311,39 +306,6 @@ void TurboBatchDecoder::decode_arranged(
     train_beta_tail(st2, pt2, beta_tail2_[b]);
     results[static_cast<std::size_t>(b)] = TurboBatchResult{};
   }
-
-  // QPP tables: block b uses entry entry[b]. An entry that holds its K
-  // is reused; otherwise the least recently used entry that no earlier
-  // block of this call took is refilled (a call has at most nb <=
-  // capacity_ distinct K, so one is always free).
-  ++calls_;
-  int entry[kMaxLanes] = {};
-  for (int b = 0; b < nb; ++b) {
-    const int k = static_cast<int>(kb[b]);
-    int e = static_cast<int>(std::find(table_k_, table_k_ + capacity_, k) -
-                             table_k_);
-    if (e == capacity_) {
-      e = 0;
-      for (int c = 1; c < capacity_; ++c) {
-        if (table_use_[c] != calls_ &&
-            (table_use_[e] == calls_ || table_use_[c] < table_use_[e])) {
-          e = c;
-        }
-      }
-      const std::size_t at = static_cast<std::size_t>(e) * k_max;
-      qpp_tables(k, pi_.data() + at, pi_inv_.data() + at);
-      table_k_[e] = k;
-    }
-    table_use_[e] = calls_;
-    entry[b] = e;
-  }
-  // Block b's QPP permutation, or its inverse.
-  const auto table = [&](int b, bool inverse) {
-    return std::span<const std::uint16_t>(
-        (inverse ? pi_inv_ : pi_).data() +
-            static_cast<std::size_t>(entry[b]) * k_max,
-        kb[b]);
-  };
 
   // Lane assignment: slot s runs block slot_blocks[s], right-aligned on
   // the longest current block (kg steps) from start step offs[s]; unused
@@ -370,9 +332,9 @@ void TurboBatchDecoder::decode_arranged(
     with_lanes(nw, [&](auto lanes) {
       for (int r = 0; r < n_runs; ++r) {
         const int s0 = run_first[r];
-        gather_run<lanes>(run_first[r + 1] - s0,
-                          table(slot_blocks[s0], inverse), offs[s0], s0, src,
-                          dst);
+        const QppTable& t = qpp[slot_blocks[s0]];
+        gather_run<lanes>(run_first[r + 1] - s0, inverse ? t.inv : t.pi,
+                          offs[s0], s0, src, dst);
       }
     });
   };
@@ -447,21 +409,9 @@ void TurboBatchDecoder::decode_arranged(
       std::copy_n(beta_tail1_[slot_blocks[s]], 8, binit1_ + s * 8);
       std::copy_n(beta_tail2_[slot_blocks[s]], 8, binit2_ + s * 8);
     }
-    // Unused slots read zeros_ from step 0, so a same-K group transposes
-    // without padding checks.
-    std::size_t starts[kMaxLanes] = {};
-    for (int s = 0; s < nw; ++s) {
-      if (s < n_slots) {
-        starts[s] = offs[s];
-      } else {
-        syss[s] = p1s[s] = p2s[s] = zeros_.data();
-      }
-    }
-    const auto transpose = n_runs == 1 ? transpose_step_major<true>
-                                       : transpose_step_major<false>;
-    transpose(syss, starts, nw, kg, tsys_.data());
-    transpose(p1s, starts, nw, kg, tp1_.data());
-    transpose(p2s, starts, nw, kg, tp2_.data());
+    transpose_step_major(syss, offs, nw, kg, tsys_.data());
+    transpose_step_major(p1s, offs, nw, kg, tp1_.data());
+    transpose_step_major(p2s, offs, nw, kg, tp2_.data());
     permute(false, tsys_.data(), tsys2_.data());
     const std::size_t len = kg * static_cast<std::size_t>(nw);
     std::fill_n(gs_.data(), len, std::int16_t{0});

@@ -36,8 +36,10 @@
 // group sorted by K needs one run per distinct K. A compaction re-packs
 // the carried state once.
 //
-// Decoding is allocation-free: all workspaces, the QPP tables included,
-// are sized for capacity() blocks of k_max at construction.
+// Decoding is allocation-free: all workspaces are sized for capacity()
+// blocks of k_max at construction, and the QPP permutations are views
+// into the one table of all sizes that every decoder shares
+// (qpp_interleaver.h).
 #pragma once
 
 #include <cstdint>
@@ -114,18 +116,8 @@ class TurboBatchDecoder {
   // buffers: apr2_ (interleaved order), gamma-systematic and extrinsics.
   AlignedVector<std::int16_t> apr1_, apr2_, gs_, ext_;
   AlignedVector<std::int16_t> alpha_ws_;
-  AlignedVector<std::int16_t> zeros_;  ///< k_max zeros: unused lanes' input
   // Per-block hard decisions in natural order, k_max bytes per block.
   std::vector<std::uint8_t> hard_, hard_prev_;
-  // QPP permutation and inverse tables, k_max entries each, one pair per
-  // entry e: table_k_[e] is the K it holds (0: none), table_use_[e] the
-  // call that last used it. A call reuses entries that hold its blocks'
-  // K and refills the least recently used ones.
-  std::vector<std::uint16_t> pi_, pi_inv_;
-  int table_k_[kMaxLanes] = {};
-  std::uint64_t table_use_[kMaxLanes] = {};
-  std::uint64_t calls_ = 0;
-
   // Per-block boundary state, indexed by block position in `blocks`.
   std::int16_t beta_tail1_[kMaxLanes][8];
   std::int16_t beta_tail2_[kMaxLanes][8];

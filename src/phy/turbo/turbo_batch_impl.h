@@ -18,11 +18,11 @@
 // right-aligned: a block of K_b steps occupies steps [K - K_b, K) of the
 // K-step streams, so every block ends at step K, where its own trained
 // tail metrics seed the backward pass, which therefore needs no change.
-// The forward pass is split at each later start step, where the lanes
-// that begin there restart from `ainit` with one blend. A lane's steps
-// before its start are padding: whatever they compute, no extrinsic of
-// theirs is read, and the block's own steps run exactly the op sequence
-// of a single-block call.
+// At each later start step of the forward pass, the lanes that begin
+// there restart from `ainit` with one blend. A lane's steps before its
+// start are padding: whatever they compute, no extrinsic of theirs is
+// read, and the block's own steps run exactly the op sequence of a
+// single-block call.
 //
 // All operands and results are step-major (`x[step * NW + lane]`):
 // gamma inputs arrive that way, boundary metrics arrive as LN-wide
@@ -65,9 +65,7 @@ struct AlphaRestarts {
   alignas(64) std::uint16_t mask[kMaxBatchLanes - 1][kMaxBatchLanes * 8] = {};
 };
 
-/// `kRestarts` false: every lane starts at step 0 and `restarts` is
-/// ignored, so the forward pass compiles to one plain loop.
-template <class V, bool kRestarts>
+template <class V>
 void map_decode_batch_impl(std::size_t K, const std::int16_t* gs_step,
                            const std::int16_t* gp_step,
                            const std::int16_t* ainit,
@@ -93,26 +91,27 @@ void map_decode_batch_impl(std::size_t K, const std::int16_t* gs_step,
 
   // ---- Forward pass (identical op sequence to the windowed kernel and,
   // per lane, to the scalar reference) ------------------------------------
+  // A restart blends the starting lanes back to `init` before their
+  // first step; a group without restarts never takes the branch.
   const reg init = V::load(ainit);
   reg alpha = init;
-  std::size_t k = 0;
-  const int n_restarts = kRestarts ? restarts.n : 0;
-  for (int seg = 0; seg <= n_restarts; ++seg) {
-    const std::size_t end = seg < n_restarts ? restarts.step[seg] : K;
-    for (; k < end; ++k) {
-      V::store(alpha_ws + LN * k, alpha);
-      const reg gsv = V::spread(gs_step + k * NW);
-      const reg gpv = V::spread(gp_step + k * NW);
-      const reg g0 = V::sat_add(V::and16(gsv, mu0), V::and16(gpv, mp0));
-      const reg g1 = V::sat_add(V::and16(gsv, mu1), V::and16(gpv, mp1));
-      const reg a0 = V::sat_add(V::shuffle(alpha, pred0), g0);
-      const reg a1 = V::sat_add(V::shuffle(alpha, pred1), g1);
-      const reg nxt = V::max16(a0, a1);
-      alpha = V::sat_sub(nxt, V::shuffle(nxt, lane0));
+  int r = 0;
+  std::size_t next = restarts.n > 0 ? restarts.step[0] : K;
+  for (std::size_t k = 0; k < K; ++k) {
+    if (k == next) [[unlikely]] {
+      alpha = V::blend(alpha, init, V::mask(restarts.mask[r]));
+      ++r;
+      next = r < restarts.n ? restarts.step[r] : K;
     }
-    if (seg < n_restarts) {
-      alpha = V::blend(alpha, init, V::mask(restarts.mask[seg]));
-    }
+    V::store(alpha_ws + LN * k, alpha);
+    const reg gsv = V::spread(gs_step + k * NW);
+    const reg gpv = V::spread(gp_step + k * NW);
+    const reg g0 = V::sat_add(V::and16(gsv, mu0), V::and16(gpv, mp0));
+    const reg g1 = V::sat_add(V::and16(gsv, mu1), V::and16(gpv, mp1));
+    const reg a0 = V::sat_add(V::shuffle(alpha, pred0), g0);
+    const reg a1 = V::sat_add(V::shuffle(alpha, pred1), g1);
+    const reg nxt = V::max16(a0, a1);
+    alpha = V::sat_sub(nxt, V::shuffle(nxt, lane0));
   }
 
   // ---- Backward pass with extrinsic extraction ----------------------------
@@ -161,23 +160,6 @@ void map_decode_batch_impl(std::size_t K, const std::int16_t* gs_step,
     const reg m0 = fold_quad(fold_pair(s0.u0, s1.u0), u0_23);
     const reg m1 = fold_quad(fold_pair(s0.u1, s1.u1), u1_23);
     V::store_steps4(ext_step + k0 * NW, V::sat_sub(m1, m0));
-  }
-}
-
-/// The per-ISA entry points' body: a group without later start steps
-/// runs the instantiation without the restart plumbing.
-template <class V>
-void run_map_decode_batch(std::size_t K, const std::int16_t* gs_step,
-                          const std::int16_t* gp_step,
-                          const std::int16_t* ainit, const std::int16_t* binit,
-                          std::int16_t* ext_step, std::int16_t* alpha_ws,
-                          const AlphaRestarts& restarts) {
-  if (restarts.n == 0) {
-    map_decode_batch_impl<V, false>(K, gs_step, gp_step, ainit, binit,
-                                    ext_step, alpha_ws, restarts);
-  } else {
-    map_decode_batch_impl<V, true>(K, gs_step, gp_step, ainit, binit,
-                                   ext_step, alpha_ws, restarts);
   }
 }
 

@@ -12,8 +12,8 @@ void map_decode_batch_avx2(std::size_t K, const std::int16_t* gs_step,
                            std::int16_t* ext_step,
                            std::int16_t* alpha_ws,
                            const AlphaRestarts& restarts) {
-  run_map_decode_batch<Avx2Ops>(K, gs_step, gp_step, ainit, binit, ext_step,
-                                alpha_ws, restarts);
+  map_decode_batch_impl<Avx2Ops>(
+      K, gs_step, gp_step, ainit, binit, ext_step, alpha_ws, restarts);
 }
 
 }  // namespace vran::phy::turbo_internal

@@ -13,8 +13,8 @@ void map_decode_batch_avx512(std::size_t K, const std::int16_t* gs_step,
                              std::int16_t* ext_step,
                              std::int16_t* alpha_ws,
                              const AlphaRestarts& restarts) {
-  run_map_decode_batch<Avx512Ops>(K, gs_step, gp_step, ainit, binit, ext_step,
-                                  alpha_ws, restarts);
+  map_decode_batch_impl<Avx512Ops>(
+      K, gs_step, gp_step, ainit, binit, ext_step, alpha_ws, restarts);
 }
 
 }  // namespace vran::phy::turbo_internal

@@ -13,8 +13,8 @@ void map_decode_batch_sse(std::size_t K, const std::int16_t* gs_step,
                           const std::int16_t* ainit, const std::int16_t* binit,
                           std::int16_t* ext_step, std::int16_t* alpha_ws,
                           const AlphaRestarts& restarts) {
-  run_map_decode_batch<SseOps>(K, gs_step, gp_step, ainit, binit, ext_step,
-                               alpha_ws, restarts);
+  map_decode_batch_impl<SseOps>(
+      K, gs_step, gp_step, ainit, binit, ext_step, alpha_ws, restarts);
 }
 
 }  // namespace vran::phy::turbo_internal

@@ -1,6 +1,7 @@
 #include "pipeline/decode_scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 
 #include "common/timer.h"
@@ -9,6 +10,15 @@
 namespace vran::pipeline {
 
 namespace {
+
+/// Least share of a leftover group's lane steps (lanes x its longest K)
+/// that its blocks must fill; a sparser group is not formed and its
+/// longest block decodes alone. fig09 puts a 4-lane group at 1.3-1.7x
+/// the cost of one lane at its longest K, so below a fill of about
+/// 0.33-0.43 it costs more than its blocks one by one (EXPERIMENTS.md,
+/// "Mixed-K lane groups"). A 2-lane group costs about 1.03x and always
+/// fills at least half, so it is never split.
+constexpr double kMinGroupFill = 0.4;
 
 std::uint64_t to_ns(double seconds) {
   return seconds <= 0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9);
@@ -137,7 +147,9 @@ void DecodeScheduler::run(PipelineWorkspace& ws, ThreadPool* pool) {
   }
 
   // 2. Leftovers by key, then K descending, then submission order,
-  //    packed into groups of lane capacity.
+  //    packed into groups of lane capacity. A group whose blocks fill
+  //    less than kMinGroupFill of the lanes its kernel runs (the block
+  //    count rounded up to a power of two) shrinks to its longest block.
   std::size_t n_left = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (routed_[i] == 2) leftovers[n_left++] = i;
@@ -147,17 +159,20 @@ void DecodeScheduler::run(PipelineWorkspace& ws, ThreadPool* pool) {
     return std::make_tuple(group_key(jobs_[a]), -jobs_[a].k, a) <
            std::make_tuple(group_key(jobs_[b]), -jobs_[b].k, b);
   });
-  for (const std::size_t c : left) {
-    if (staged > first) {
-      const DecodeJob& j0 = jobs_[b_members[first]];
-      if (group_key(jobs_[c]) != group_key(j0) ||
-          staged - first == capacity(j0)) {
-        close_group();
-      }
+  for (std::size_t i = 0; i < n_left;) {
+    const DecodeJob& j0 = jobs_[left[i]];
+    std::size_t end = i + 1;
+    double steps = j0.k;
+    while (end < n_left && end - i < capacity(j0) &&
+           group_key(jobs_[left[end]]) == group_key(j0)) {
+      steps += jobs_[left[end++]].k;
     }
-    stage(c);
+    if (steps < kMinGroupFill * double(std::bit_ceil(end - i)) * j0.k) {
+      end = i + 1;
+    }
+    for (; i < end; ++i) stage(left[i]);
+    close_group();
   }
-  if (staged > first) close_group();
 
   const char* const span_name = stage_info(Stage::kTurboDecode).key;
   const auto run_unit = [&](std::size_t ui) {

@@ -13,9 +13,14 @@
 // so same-K traffic keeps the decoder's one-copy interleaver path. The
 // remaining jobs are sorted by key, then K descending (ties in
 // submission order), and packed into groups of lane capacity, so each
-// mixed group pads its shorter blocks as little as the mix allows. There
-// is no padding bound: a group of N blocks costs less than N one-lane
-// decodes however its K differ.
+// mixed group pads its shorter blocks as little as the mix allows. A
+// group runs its longest block's K in every lane, and fig09 measured a
+// 4-lane group at 1.3-1.7x the time of one lane at that K, so a group
+// whose blocks fill less than 0.4 of its lanes' steps (kMinGroupFill,
+// e.g. K {5056, 40, 40, 40}) costs more than its blocks one by one: its
+// longest block decodes alone instead, and packing resumes with the
+// next. Two lanes always fill at least half, so only 3-4-block groups
+// are ever split.
 //
 // Concurrency/allocation contract (matches phy_decode): submit() and
 // the grouping + decoder resolution + staging carve inside run() happen

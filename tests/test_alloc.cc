@@ -169,7 +169,10 @@ TEST(AllocSteadyState, MixedKSchedulingRotatesThroughEveryK) {
   // Eight blocks per scheduling round, rotating through all 188 legal K,
   // so every round packs different mixed-K groups: the K-agnostic batch
   // decoders, the grouping and the staging must allocate nothing after
-  // the first round, at the widest and the scalar tier.
+  // the first round, at the widest and the scalar tier. Unit slots are
+  // grow-only and a round's group count varies with its K (a sparse
+  // leftover group gives up its longest block), so every slot a round
+  // of eight can use gets its decoder first.
   if (!alloc_stats::interposed()) {
     GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
   }
@@ -199,6 +202,9 @@ TEST(AllocSteadyState, MixedKSchedulingRotatesThroughEveryK) {
   const std::size_t rounds = 2 * sizes.size() / kPerRound;
   for (const IsaLevel isa : {best_isa(), IsaLevel::kScalar}) {
     PipelineWorkspace ws(8);
+    for (std::size_t u = 0; u < kPerRound; ++u) {
+      ws.lane(u).batch_decoder(DecoderSpec{isa, 2, false});
+    }
     DecodeScheduler sched(nullptr);
     std::vector<DecodeJob> jobs(kPerRound);
     std::vector<DecodeOutcome> outcomes(kPerRound);

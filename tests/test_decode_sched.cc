@@ -16,8 +16,9 @@
 //
 //  3. Grouping mechanics: full same-K groups form first, the leftovers
 //     pack by K into mixed groups, single-block TBs of different sizes
-//     fill the lanes together, and the packing is the same for any
-//     worker count.
+//     fill the lanes together, the packing is the same for any worker
+//     count, and a leftover group too sparse to pay for its lanes gives
+//     up its longest block.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,12 +26,16 @@
 #include <memory>
 #include <vector>
 
+#include "common/aligned.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
 #include "net/pktgen.h"
 #include "obs/metrics.h"
+#include "phy/turbo/turbo_encoder.h"
 #include "pipeline/batch_runner.h"
+#include "pipeline/decode_scheduler.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/workspace.h"
 
 namespace vran::pipeline {
 namespace {
@@ -271,6 +276,79 @@ TEST(CrossTbSched, SingleBlockTbsPackIntoMixedGroupsForAnyWorkerCount) {
     EXPECT_EQ(s.lanes_available, ref_stats.lanes_available);
     for (std::size_t f = 0; f < flows; ++f) {
       EXPECT_EQ(res[f].egress, reference[f].egress) << sizes[f];
+    }
+  }
+}
+
+TEST(CrossTbSched, SparseLeftoverGroupDecodesItsLongestBlockAlone) {
+  // Jobs handed straight to the scheduler, noiseless. K {6144, 40, 40,
+  // 40} fills 0.25 of a 4-lane group's steps, below kMinGroupFill: at
+  // AVX-512 the 6144 block decodes alone and the three 40s share a
+  // group. K {6144, 3520, 2016, 1024} fills 0.52 and stays one group.
+  // Two lanes always fill at least half, so AVX2 packs both sets in
+  // pairs; one-lane tiers decode one block per group.
+  struct Block {
+    std::vector<std::uint8_t> bits, hard;
+    AlignedVector<std::int16_t> sys, p1, p2;
+  };
+  const auto make_block = [](int k, std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    Block b;
+    b.bits.resize(static_cast<std::size_t>(k));
+    for (auto& x : b.bits) x = static_cast<std::uint8_t>(rng.next() & 1);
+    const auto cw = phy::turbo_encode(b.bits);
+    for (auto [stream, bits] : {std::pair{&b.sys, &cw.d0},
+                                std::pair{&b.p1, &cw.d1},
+                                std::pair{&b.p2, &cw.d2}}) {
+      stream->resize(bits->size());
+      for (std::size_t t = 0; t < bits->size(); ++t) {
+        (*stream)[t] = (*bits)[t] ? std::int16_t{40} : std::int16_t{-40};
+      }
+    }
+    b.hard.resize(b.bits.size());
+    return b;
+  };
+  struct Case {
+    std::vector<int> ks;
+    std::uint64_t groups[3];  // at lane capacity 1, 2, 4
+    std::uint64_t mixed[3];
+  };
+  const Case cases[] = {{{6144, 40, 40, 40}, {4, 2, 2}, {0, 1, 0}},
+                        {{6144, 3520, 2016, 1024}, {4, 2, 1}, {0, 2, 1}}};
+  for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kSse41,
+                             IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    if (isa > best_isa()) continue;
+    const int cap = phy::TurboBatchDecoder::lane_capacity(isa);
+    const int col = cap == 1 ? 0 : cap == 2 ? 1 : 2;
+    for (const Case& c : cases) {
+      std::vector<Block> blocks;
+      for (std::size_t i = 0; i < c.ks.size(); ++i) {
+        blocks.push_back(make_block(c.ks[i], 0x5ca1e + i));
+      }
+      std::vector<DecodeJob> jobs(blocks.size());
+      std::vector<DecodeOutcome> outcomes(blocks.size());
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        jobs[i].k = c.ks[i];
+        jobs[i].isa = isa;
+        jobs[i].in = {blocks[i].sys, blocks[i].p1, blocks[i].p2};
+        jobs[i].hard = blocks[i].hard;
+        jobs[i].out = &outcomes[i];
+      }
+      PipelineWorkspace ws(4);
+      DecodeScheduler sched(nullptr);
+      sched.begin();
+      sched.submit(jobs);
+      sched.run(ws, nullptr);
+      const auto& s = sched.stats();
+      EXPECT_EQ(s.batch_groups, c.groups[col])
+          << isa_name(isa) << " K0=" << c.ks[0] << " K1=" << c.ks[1];
+      EXPECT_EQ(s.mixed_groups, c.mixed[col])
+          << isa_name(isa) << " K0=" << c.ks[0] << " K1=" << c.ks[1];
+      EXPECT_EQ(s.lanes_filled, blocks.size());
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        EXPECT_EQ(blocks[i].hard, blocks[i].bits)
+            << isa_name(isa) << " K=" << c.ks[i];
+      }
     }
   }
 }

@@ -477,8 +477,8 @@ TEST(TurboBatchMixed, RandomKSetsMatchSingleAtEveryTier) {
   // the others, lanes that repeat their neighbour's K (runs of lanes that
   // share one permutation copy); noise levels from clean to several
   // iterations, so lanes converge and compact at different iterations.
-  // One decoder per tier serves every set, so its QPP tables are
-  // refilled and reused across calls.
+  // One decoder per tier serves every set, so its workspaces carry state
+  // from one mix of K to the next.
   for (const IsaLevel isa : kAllTiers) {
     if (isa > best_isa()) continue;
     TurboBatchConfig bc;
