@@ -1,4 +1,6 @@
-// Deterministic, fast PRNG for workload generation and channel noise.
+// Deterministic, fast PRNG for workload generation, plus the seeding
+// every randomized component shares (the AWGN channel's counter-based
+// noise stream keys itself from seed_stream too, phy/channel).
 //
 // xoshiro256** — stable across platforms so every test vector and benchmark
 // workload is reproducible bit-for-bit, unlike std::mt19937 whose
@@ -15,7 +17,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cmath>
 
 namespace vran {
 
@@ -78,22 +79,6 @@ class Xoshiro256 {
   /// Uniform double in [0, 1).
   double uniform() { return (next() >> 11) * 0x1.0p-53; }
 
-  /// Standard normal via Box–Muller (uses two uniforms per pair; caches one).
-  double gaussian() {
-    if (have_cached_) {
-      have_cached_ = false;
-      return cached_;
-    }
-    double u1 = uniform();
-    double u2 = uniform();
-    while (u1 <= 1e-300) u1 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * 3.14159265358979323846 * u2;
-    cached_ = r * std::sin(theta);
-    have_cached_ = true;
-    return r * std::cos(theta);
-  }
-
   bool coin() { return (next() & 1u) != 0; }
 
  private:
@@ -102,8 +87,6 @@ class Xoshiro256 {
   }
 
   std::uint64_t state_[4];
-  double cached_ = 0.0;
-  bool have_cached_ = false;
 };
 
 }  // namespace vran

@@ -3,13 +3,17 @@
 // plus int16 quantization exercises the identical receive path — the
 // decode-side instruction mix the paper profiles is independent of how
 // the noise got onto the samples.
+//
+// The noise comes from a counter-based block kernel (noise_simd.h,
+// DESIGN.md §5k): fresh for every sample of every call, and
+// bit-identical at every ISA tier for a given seed and call sequence.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/rng.h"
+#include "common/cpu_features.h"
 #include "phy/modulation/modulation.h"
 #include "phy/ofdm/fft.h"
 
@@ -17,8 +21,12 @@ namespace vran::phy {
 
 class AwgnChannel {
  public:
-  /// `snr_db` is Es/N0 per received sample; `seed` makes runs repeatable.
-  explicit AwgnChannel(double snr_db, std::uint64_t seed = 1);
+  /// `snr_db` is Es/N0 per received sample; `seed` makes runs repeatable
+  /// (through seed_stream, so VRAN_SEED perturbs it). `isa` selects the
+  /// noise kernel tier, clamped to what the executing CPU supports; the
+  /// noise is the same at every tier.
+  explicit AwgnChannel(double snr_db, std::uint64_t seed = 1,
+                       IsaLevel isa = best_isa());
 
   double snr_db() const { return snr_db_; }
 
@@ -30,13 +38,17 @@ class AwgnChannel {
   /// Add noise to float time-domain samples (unit average symbol energy).
   void apply(std::span<Cf> samples);
 
-  /// Add noise directly to Q12 int16 I/Q symbols, saturating.
+  /// Add noise directly to Q12 int16 I/Q symbols (rounded to nearest,
+  /// saturating).
   void apply(std::span<IqSample> symbols);
 
  private:
   double snr_db_;
   double n0_;
-  Xoshiro256 rng_;
+  float sigma_;            ///< per-component noise standard deviation
+  std::uint64_t key_;      ///< noise stream key
+  std::uint64_t next_ = 0; ///< index of the stream's next sample
+  IsaLevel isa_;
 };
 
 /// Bit-error bookkeeping across blocks.

@@ -553,7 +553,7 @@ UplinkPipeline::UplinkPipeline(PipelineConfig cfg)
     : cfg_(cfg),
       ofdm_(cfg.ofdm, cfg.isa),
       channel_(time_domain_snr_db(cfg.snr_db, cfg.ofdm.nfft),
-               cfg.noise_seed),
+               cfg.noise_seed, cfg.isa),
       pool_(make_decode_pool(cfg)),
       obs_(std::make_unique<detail::PipelineObs>(cfg.metrics, cfg.pmu)),
       ws_(cfg.codec_cache_capacity),
@@ -724,7 +724,7 @@ DownlinkPipeline::DownlinkPipeline(PipelineConfig cfg)
     : cfg_(cfg),
       ofdm_(cfg.ofdm, cfg.isa),
       channel_(time_domain_snr_db(cfg.snr_db, cfg.ofdm.nfft),
-               cfg.noise_seed + 1),
+               cfg.noise_seed + 1, cfg.isa),
       pool_(make_decode_pool(cfg)),
       obs_(std::make_unique<detail::PipelineObs>(cfg.metrics, cfg.pmu)),
       ws_(cfg.codec_cache_capacity),

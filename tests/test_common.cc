@@ -269,21 +269,6 @@ TEST(Rng, UniformInRange) {
   }
 }
 
-TEST(Rng, GaussianMoments) {
-  Xoshiro256 rng(11);
-  const int n = 200000;
-  double sum = 0, sum2 = 0;
-  for (int i = 0; i < n; ++i) {
-    const double g = rng.gaussian();
-    sum += g;
-    sum2 += g * g;
-  }
-  const double mean = sum / n;
-  const double var = sum2 / n - mean * mean;
-  EXPECT_NEAR(mean, 0.0, 0.02);
-  EXPECT_NEAR(var, 1.0, 0.03);
-}
-
 TEST(Rng, BoundedStaysInBound) {
   Xoshiro256 rng(5);
   std::set<std::uint64_t> seen;
