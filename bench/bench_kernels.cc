@@ -1,7 +1,8 @@
 // google-benchmark micro-suite over the hot kernels: data arrangement
 // (every method x ISA x order), stride-2 splits, constituent MAP passes,
-// the batched-lane decoder and the full-width element kernels. Complements the figure harnesses
-// with statistically-managed per-kernel numbers.
+// the batched-lane decoder, the full-width element kernels and the AWGN
+// channel's noise kernel. Complements the figure harnesses with
+// statistically-managed per-kernel numbers.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -157,6 +158,24 @@ void BM_VecSatAdd(benchmark::State& state, IsaLevel isa) {
                           static_cast<std::int64_t>(6 * n));
 }
 
+// AWGN channel noise onto range(0) time-domain samples at one tier
+// (6576 = one ul-bulk UE subframe, 12 OFDM symbols of 548 samples);
+// items are complex samples.
+void BM_AwgnChannel(benchmark::State& state, IsaLevel isa) {
+  if (isa > best_isa()) {
+    state.SkipWithError("ISA unavailable");
+    return;
+  }
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto add_noise = bench::hw::wl_channel(isa, n);
+  for (auto _ : state) {
+    add_noise();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
 void BM_TurboEncode(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   std::vector<std::uint8_t> bits(static_cast<std::size_t>(k));
@@ -221,6 +240,11 @@ BENCHMARK_CAPTURE(BM_TurboBatchDecodeMixed, avx512, IsaLevel::kAvx512)
 
 BENCHMARK_CAPTURE(BM_VecSatAdd, sse128, IsaLevel::kSse41)->Arg(65536);
 BENCHMARK_CAPTURE(BM_VecSatAdd, avx512, IsaLevel::kAvx512)->Arg(65536);
+
+BENCHMARK_CAPTURE(BM_AwgnChannel, scalar, IsaLevel::kScalar)->Arg(6576);
+BENCHMARK_CAPTURE(BM_AwgnChannel, sse128, IsaLevel::kSse41)->Arg(6576);
+BENCHMARK_CAPTURE(BM_AwgnChannel, avx256, IsaLevel::kAvx2)->Arg(6576);
+BENCHMARK_CAPTURE(BM_AwgnChannel, avx512, IsaLevel::kAvx512)->Arg(6576);
 
 BENCHMARK(BM_TurboEncode)->Arg(1024)->Arg(6144);
 

@@ -24,6 +24,7 @@
 #include "common/aligned.h"
 #include "common/cpu_features.h"
 #include "arrange/arrange.h"
+#include "phy/channel/channel.h"
 #include "phy/crc/crc.h"
 #include "obs/pmu.h"
 #include "phy/dci/dci.h"
@@ -294,6 +295,15 @@ inline Workload wl_rate_dematch(IsaLevel isa, int k, int e) {
     matcher->dematch_accumulate(*llr, 0, *w, isa);
     matcher->buffer_to_triples_into(*w, *triples, isa);
   };
+}
+
+/// AWGN channel: fresh noise onto n time-domain samples at the given
+/// kernel tier, at the 18 dB SNR of the ul-bulk workload (one ul-bulk UE
+/// subframe is 6576 samples).
+inline Workload wl_channel(IsaLevel isa, std::size_t n) {
+  auto samples = std::make_shared<std::vector<phy::Cf>>(n);
+  auto channel = std::make_shared<phy::AwgnChannel>(18.0, 1, isa);
+  return [=] { channel->apply(std::span<phy::Cf>(*samples)); };
 }
 
 /// DCI encode + decode round trip (27-bit payload, 288 coded bits — the

@@ -52,6 +52,7 @@ TEST_P(HwKernels, EveryFactoryRunsOnce) {
     runs.push_back(wl_demap(isa, n));
     runs.push_back(wl_rate_match(isa, k, e));
     runs.push_back(wl_rate_dematch(isa, k, e));
+    runs.push_back(wl_channel(isa, n));
   }
   runs.push_back(wl_turbo_encode(k));
   runs.push_back(wl_scramble(n));
