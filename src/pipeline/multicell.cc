@@ -1,17 +1,60 @@
 #include "pipeline/multicell.h"
 
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "net/pktgen.h"
 
 #if defined(__linux__)
+#include <linux/futex.h>
 #include <pthread.h>
 #include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 #endif
 
 namespace vran::pipeline {
+
+namespace {
+
+/// Longest sleep of an idle worker. It bounds the wait for a wake-up
+/// that never comes (a packet pushed past offer(), or a platform without
+/// a futex), and it keeps idle halts short. On a 4-vCPU KVM guest, a
+/// vCPU halted for most of a 1 ms TTI sometimes took about 150 us to
+/// wake. Without the timeout, multicell-openloop's p99 rose from
+/// 80-101 us to 255-299 us in 10 s runs (EXPERIMENTS.md).
+constexpr std::chrono::microseconds kIdlePoll{50};
+
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+              std::atomic<std::uint32_t>::is_always_lock_free);
+
+/// Sleep until `bell` changes from `seen` (woken by wake_all), or for
+/// kIdlePoll at most. Returns at once when `bell` already differs.
+void wait_bell(std::atomic<std::uint32_t>& bell, std::uint32_t seen) {
+#if defined(__linux__)
+  const timespec timeout{0, std::chrono::nanoseconds(kIdlePoll).count()};
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&bell),
+          FUTEX_WAIT_PRIVATE, seen, &timeout, nullptr, 0);
+#else
+  (void)bell;
+  (void)seen;
+  std::this_thread::sleep_for(kIdlePoll);
+#endif
+}
+
+void wake_all(std::atomic<std::uint32_t>& bell) {
+#if defined(__linux__)
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&bell),
+          FUTEX_WAKE_PRIVATE, std::numeric_limits<int>::max(), nullptr,
+          nullptr, 0);
+#else
+  (void)bell;
+#endif
+}
+
+}  // namespace
 
 PipelineConfig MultiCellRunner::flow_config(const MultiCellConfig& cfg,
                                             int cell, int flow) {
@@ -104,6 +147,7 @@ void MultiCellRunner::start() {
 
 void MultiCellRunner::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  ring_doorbell();
   for (auto& t : threads_) t.join();
   threads_.clear();
   // Workers joined: flushing the flight recorders is now safe (a miss on
@@ -159,6 +203,14 @@ obs::HistogramStats MultiCellRunner::tti_histogram() {
   return agg;
 }
 
+void MultiCellRunner::ring_doorbell() {
+  // Paired with worker_loop's sleepers_ increment before it blocks: both
+  // sides are seq_cst, so either this load sees the sleeper or the
+  // sleeper's futex compare sees the new doorbell value and returns.
+  doorbell_.fetch_add(1, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) wake_all(doorbell_);
+}
+
 bool MultiCellRunner::try_drain(CellShard& shard, bool stolen) {
   if (!shard.has_work()) return false;
   if (!shard.try_claim()) return false;  // someone else is on it
@@ -181,6 +233,9 @@ void MultiCellRunner::worker_loop(int w) {
   }
   int idle_spins = 0;
   while (running_.load(std::memory_order_acquire)) {
+    // Read before the scan: an offer the scan misses changes the
+    // doorbell after this read, so the sleep below returns at once.
+    const std::uint32_t bell = doorbell_.load(std::memory_order_seq_cst);
     bool did = false;
     for (const int i : home) {
       if (try_drain(*shards_[static_cast<std::size_t>(i)], /*stolen=*/false)) {
@@ -201,11 +256,14 @@ void MultiCellRunner::worker_loop(int w) {
       continue;
     }
     // Idle backoff: yield first (cheap on the oversubscribed single-core
-    // CI hosts, where the producer needs the core), then sleep.
+    // CI hosts, where the producer needs the core), then sleep until the
+    // next offer rings the doorbell.
     if (++idle_spins < 64) {
       std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      sleepers_.fetch_add(1, std::memory_order_seq_cst);
+      wait_bell(doorbell_, bell);
+      sleepers_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
 }

@@ -27,6 +27,13 @@
 //     (pool alloc + free both happen here);
 //   * workers only pop ingest rings, run TTIs, and push spent handles
 //     onto recycle rings.
+//
+// Idle workers block on a doorbell that every accepted offer() rings,
+// with a 50 us timeout as a fallback poll. A packet therefore starts as
+// soon as a worker wakes, not at the worker's next fixed-period poll:
+// a poll that restarts when the previous TTI ends locks its phase to a
+// periodic producer, and the wait it adds then depends on where a run
+// happened to start.
 #pragma once
 
 #include <atomic>
@@ -119,8 +126,15 @@ class MultiCellRunner {
   void stop();   ///< join workers (idempotent); shards keep their stats
 
   // --- Producer-thread API. ------------------------------------------
+  /// Stage one packet on `cell` and wake idle workers. Pushing through
+  /// shard(cell).offer() directly skips the wake-up: the packet then
+  /// waits for a worker's fallback poll.
   bool offer(int cell, int flow, std::span<const std::uint8_t> payload) {
-    return shards_.at(cell)->offer(static_cast<std::size_t>(flow), payload);
+    if (!shards_.at(cell)->offer(static_cast<std::size_t>(flow), payload)) {
+      return false;
+    }
+    ring_doorbell();
+    return true;
   }
   void recycle_all() {
     for (auto& s : shards_) s->recycle();
@@ -151,11 +165,17 @@ class MultiCellRunner {
  private:
   void worker_loop(int w);
   bool try_drain(CellShard& shard, bool stolen);
+  /// Bump the doorbell and wake the workers blocked on it.
+  void ring_doorbell();
 
   MultiCellConfig cfg_;
   std::vector<std::unique_ptr<CellShard>> shards_;
   std::vector<std::thread> threads_;
   std::atomic<bool> running_{false};
+  /// Counts accepted offers (and stop()); idle workers sleep while it
+  /// holds the value they last scanned under.
+  std::atomic<std::uint32_t> doorbell_{0};
+  std::atomic<int> sleepers_{0};  ///< workers blocked on doorbell_
   std::atomic<std::uint64_t> steals_{0};
   obs::MetricsRegistry runner_reg_;
   obs::Counter& c_steals_ = runner_reg_.counter("runner.steals");

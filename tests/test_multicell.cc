@@ -9,11 +9,14 @@
 //     ladder (miss -> level 1 -> level 2 -> dropped TTIs) and a
 //     disabled ladder only counts misses;
 //   * producer-side pool starvation (injected kMempoolAllocFail) is a
-//     degrade signal, and the ladder recovers once pressure clears.
+//     degrade signal, and the ladder recovers once pressure clears;
+//   * idle workers blocked on the offer doorbell serve every packet.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "fault/fault.h"
@@ -167,6 +170,30 @@ TEST(MultiCell, EgressIdenticalToSequentialTwoWorkersStealing) {
 
 TEST(MultiCell, EgressIdenticalToSequentialMoreShardsThanWorkers) {
   expect_identical_to_sequential(/*cells=*/3, /*workers=*/2, /*steal=*/true);
+}
+
+// Idle workers block on the doorbell offer() rings: packets offered one
+// at a time, each after the workers went back to sleep, are all served,
+// and stop() returns while the workers are blocked.
+TEST(MultiCell, IdleWorkersWakeForEachOffer) {
+  const auto mc = small_config(/*cells=*/2, /*workers=*/2, /*steal=*/true);
+  constexpr int kPackets = 4;
+  const auto traffic = make_traffic(mc, kPackets);
+  pipeline::MultiCellRunner runner(mc);
+  runner.start();
+  for (int k = 0; k < kPackets; ++k) {
+    // Long enough for both workers to finish yielding and block.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const int c = k % mc.cells;
+    ASSERT_TRUE(runner.offer(
+        c, 0,
+        traffic[static_cast<std::size_t>(c * mc.flows_per_cell)]
+               [static_cast<std::size_t>(k)]));
+    ASSERT_TRUE(runner.drain(/*timeout_ms=*/60000));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  runner.stop();
+  EXPECT_EQ(runner.totals().packets, static_cast<std::uint64_t>(kPackets));
 }
 
 // ---------------------------------------------------------------- shard --
