@@ -14,7 +14,12 @@ std::vector<std::uint8_t> unpack_bits(std::span<const std::uint8_t> bytes,
     throw std::invalid_argument("unpack_bits: nbits exceeds input");
   }
   std::vector<std::uint8_t> bits(nbits);
-  for (std::size_t i = 0; i < nbits; ++i) {
+  const std::size_t whole = nbits / 8;
+  for (std::size_t i = 0; i < whole; ++i) {
+    const std::uint64_t w = spread8_msb_first(bytes[i]);
+    std::memcpy(bits.data() + 8 * i, &w, sizeof(w));
+  }
+  for (std::size_t i = 8 * whole; i < nbits; ++i) {
     bits[i] = (bytes[i / 8] >> (7 - (i % 8))) & 1u;
   }
   return bits;

@@ -36,6 +36,14 @@ inline std::uint64_t spread8_lsb_first(std::uint32_t bits8) {
   return ((x + 0x7F7F7F7F7F7F7F7Full) >> 7) & 0x0101010101010101ull;
 }
 
+/// MSB-first counterpart: byte k of the result is bit 7-k of `bits8`
+/// (0/1), so storing the word writes the byte's bits in stream order.
+inline std::uint64_t spread8_msb_first(std::uint32_t bits8) {
+  std::uint64_t x = (bits8 & 0xFFu) * 0x0101010101010101ull;
+  x &= 0x0102040810204080ull;
+  return ((x + 0x7F7F7F7F7F7F7F7Full) >> 7) & 0x0101010101010101ull;
+}
+
 /// Expand packed bytes (MSB first) into one-bit-per-byte form.
 std::vector<std::uint8_t> unpack_bits(std::span<const std::uint8_t> bytes);
 

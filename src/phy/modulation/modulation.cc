@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/bitio.h"
 #include "phy/modulation/demap_simd.h"
 
 namespace vran::phy {
@@ -96,15 +97,22 @@ std::vector<IqSample> modulate(std::span<const std::uint8_t> bits,
     throw std::invalid_argument("modulate: bits not divisible by symbol size");
   }
   const auto table = constellation(m);
-  std::vector<IqSample> out(bits.size() / static_cast<std::size_t>(bps));
-  for (std::size_t s = 0; s < out.size(); ++s) {
-    int g = 0;
-    for (int b = 0; b < bps; ++b) {
-      g = (g << 1) | (bits[s * static_cast<std::size_t>(bps) +
-                           static_cast<std::size_t>(b)] &
-                      1);
+  const auto step = static_cast<std::size_t>(bps);
+  std::vector<IqSample> out(bits.size() / step);
+  // A symbol's index is the top bps bits of the MSB-first pack of the
+  // 8-byte window at its first bit. Symbols whose window would run past
+  // the input take the per-bit loop.
+  const std::size_t windowed =
+      bits.size() < 8 ? 0 : (bits.size() - 8) / step + 1;
+  for (std::size_t s = 0; s < windowed; ++s) {
+    out[s] = table[pack8_msb_first(bits.data() + s * step) >> (8 - bps)];
+  }
+  for (std::size_t s = windowed; s < out.size(); ++s) {
+    std::size_t g = 0;
+    for (std::size_t b = 0; b < step; ++b) {
+      g = (g << 1) | (bits[s * step + b] & 1u);
     }
-    out[s] = table[static_cast<std::size_t>(g)];
+    out[s] = table[g];
   }
   return out;
 }

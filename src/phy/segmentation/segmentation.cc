@@ -1,5 +1,6 @@
 #include "phy/segmentation/segmentation.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "phy/crc/crc.h"
@@ -69,8 +70,10 @@ std::vector<std::vector<std::uint8_t>> segment_bits(
     const int k = plan.block_size(i);
     blk.reserve(static_cast<std::size_t>(k));
     if (i == 0) blk.assign(static_cast<std::size_t>(plan.f), 0);
-    const int payload = plan.payload_bits(i);
-    for (int j = 0; j < payload; ++j) blk.push_back(bits[at++]);
+    const auto payload =
+        bits.subspan(at, static_cast<std::size_t>(plan.payload_bits(i)));
+    blk.insert(blk.end(), payload.begin(), payload.end());
+    at += payload.size();
     if (plan.c > 1) crc_attach(blk, CrcType::k24B);
     if (blk.size() != static_cast<std::size_t>(k)) {
       throw std::logic_error("segment_bits: block size mismatch");
@@ -109,7 +112,7 @@ bool desegment_bits(std::span<const std::span<const std::uint8_t>> blocks,
       continue;
     }
     if (plan.c > 1 && !crc_check(blk, CrcType::k24B)) ok = false;
-    for (std::size_t j = 0; j < take; ++j) out[at + j] = blk[skip + j];
+    std::copy_n(blk.data() + skip, take, out.data() + at);
     at += take;
   }
   return ok;

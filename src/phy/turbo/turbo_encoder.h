@@ -42,15 +42,19 @@ struct TurboCodeword {
 };
 TurboCodeword turbo_encode(std::span<const std::uint8_t> bits);
 
-/// Convenience: encoder reusing one interleaver across calls of equal K.
+/// Encoder for one block size K. It holds only K: both constituents step
+/// eight input bits per table lookup, and the second reads its input
+/// through the shared all-sizes QPP table (qpp_table), which the first
+/// encode of the process builds. Throws std::invalid_argument for an
+/// illegal K.
 class TurboEncoder {
  public:
   explicit TurboEncoder(int k);
-  int block_size() const { return interleaver_.size(); }
+  int block_size() const { return k_; }
   TurboCodeword encode(std::span<const std::uint8_t> bits) const;
 
  private:
-  QppInterleaver interleaver_;
+  int k_;
 };
 
 }  // namespace vran::phy

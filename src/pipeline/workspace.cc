@@ -6,12 +6,7 @@
 namespace vran::pipeline {
 
 CodecCache::CodecCache(std::size_t capacity)
-    : encoders_(capacity), matchers_(capacity), batch_decoders_(capacity) {}
-
-phy::TurboEncoder& CodecCache::encoder(int k) {
-  return encoders_.get(k,
-                       [k] { return std::make_unique<phy::TurboEncoder>(k); });
-}
+    : matchers_(capacity), batch_decoders_(capacity) {}
 
 phy::RateMatcher& CodecCache::matcher(int k) {
   return matchers_.get(k,
@@ -32,11 +27,9 @@ phy::TurboBatchDecoder& CodecCache::batch_decoder(const DecoderSpec& spec) {
 
 CodecCache::Stats CodecCache::stats() const {
   Stats s;
-  s.encoders = encoders_.size();
   s.matchers = matchers_.size();
   s.decoders = batch_decoders_.size();
-  s.evictions = encoders_.evictions() + matchers_.evictions() +
-                batch_decoders_.evictions();
+  s.evictions = matchers_.evictions() + batch_decoders_.evictions();
   return s;
 }
 
@@ -58,7 +51,6 @@ PipelineWorkspace::Stats PipelineWorkspace::stats() const {
   s.arena_chunk_allocations = arena_.chunk_allocations();
   s.arena_resets = arena_.resets();
   const auto fold = [&s](const CodecCache::Stats& c) {
-    s.cached_encoders += c.encoders;
     s.cached_matchers += c.matchers;
     s.cached_decoders += c.decoders;
     s.codec_evictions += c.evictions;

@@ -22,7 +22,8 @@
 //
 // Batch decoders are K-agnostic (sized once for K = 6144), so a slot
 // holds one per decoder spec and a new block size constructs nothing.
-// Encoders and rate matchers are still built per K.
+// Encoders hold only K and are made on demand. Only rate matchers are
+// still built and cached per K.
 //
 // Concurrency contract: all cache lookups and all arena carving happen
 // on the driving thread, before the parallel region. Workers receive raw
@@ -97,23 +98,23 @@ struct DecoderSpec {
   bool multi = false;  ///< multi-block TB: per-block CRC24B early stop
 };
 
-/// Per-K encoders and rate matchers and per-spec batch decoders behind
-/// bounded LRU maps. Each map's capacity is the number of distinct K
-/// (or decoder specs) kept warm; a traffic mix over more distinct sizes
-/// than the capacity reconstructs on re-entry (counted in evictions())
-/// instead of growing without bound.
+/// Per-K rate matchers and per-spec batch decoders behind bounded LRU
+/// maps. Each map's capacity is the number of distinct K (or decoder
+/// specs) kept warm; a traffic mix over more distinct sizes than the
+/// capacity reconstructs on re-entry (counted in evictions()) instead of
+/// growing without bound.
 class CodecCache {
  public:
   explicit CodecCache(std::size_t capacity);
 
-  phy::TurboEncoder& encoder(int k);
+  /// Encoders hold only K, so this caches nothing.
+  phy::TurboEncoder encoder(int k) const { return phy::TurboEncoder(k); }
   phy::RateMatcher& matcher(int k);
   /// K-agnostic batched-lane decoder (one code block per SIMD lane
   /// group, any K up to 6144).
   phy::TurboBatchDecoder& batch_decoder(const DecoderSpec& spec);
 
   struct Stats {
-    std::size_t encoders = 0;
     std::size_t matchers = 0;
     std::size_t decoders = 0;
     std::uint64_t evictions = 0;
@@ -123,13 +124,12 @@ class CodecCache {
  private:
   /// isa, iters, multi
   using BatchKey = std::tuple<int, int, bool>;
-  LruCodecMap<int, phy::TurboEncoder> encoders_;
   LruCodecMap<int, phy::RateMatcher> matchers_;
   LruCodecMap<BatchKey, phy::TurboBatchDecoder> batch_decoders_;
 };
 
 /// Everything one pipeline's hot path owns: the per-TTI arena and the
-/// codec caches (shared encoders/matchers + per-slot decoders).
+/// codec caches (shared matchers + per-slot decoders).
 class PipelineWorkspace {
  public:
   /// `codec_capacity` bounds each LRU map (shared and per-slot alike).
@@ -141,8 +141,8 @@ class PipelineWorkspace {
   /// Per-TTI scratch arena. reset() once per packet, then carve.
   MonotonicArena& arena() { return arena_; }
 
-  /// Shared cache: encoders (encode side) and rate matchers (shared
-  /// across slots; decode-side use is const).
+  /// Shared cache: rate matchers (shared across slots; decode-side use
+  /// is const); its encoder() serves the encode side.
   CodecCache& codecs() { return codecs_; }
 
   /// Decoder cache for decode-unit slot `lane` (grow-only; slots are
@@ -155,7 +155,6 @@ class PipelineWorkspace {
     std::size_t arena_bytes_used = 0;
     std::uint64_t arena_chunk_allocations = 0;
     std::uint64_t arena_resets = 0;
-    std::size_t cached_encoders = 0;
     std::size_t cached_matchers = 0;
     std::size_t cached_decoders = 0;  ///< summed over shared + slots
     std::uint64_t codec_evictions = 0;

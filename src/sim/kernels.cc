@@ -375,16 +375,42 @@ Trace trace_turbo_decode_batch(IsaLevel isa, int k, int iterations) {
 }
 
 Trace trace_turbo_encode(int k) {
+  // Byte-trellis twin of TurboEncoder::encode: per input byte and
+  // constituent, one pack, an index add and two table loads (parity
+  // byte, next state; the next-state load carries the loop), the
+  // multiply spread of the parity byte and one 8-byte store. Encoder 1
+  // packs eight contiguous bits with one load and a multiply; encoder
+  // 2's pack gathers through the shared QPP table, an index load and a
+  // byte load per bit shifted into the packed byte.
   Trace t;
   t.register_bits = 64;
-  t.working_set_bytes = static_cast<std::size_t>(k) * 3;
-  std::int32_t state = t.emit(UopClass::kScalarAlu);
-  for (int i = 0; i < k; ++i) {
-    const std::int32_t in = t.emit(UopClass::kLoad, -1, -1, 1);
-    const std::int32_t fb = t.emit(UopClass::kScalarAlu, state, in);
-    const std::int32_t pz = t.emit(UopClass::kScalarAlu, fb, state);
-    state = t.emit(UopClass::kScalarAlu, fb, state);
-    t.emit(UopClass::kStoreNarrow, pz, -1, 1);
+  // Input and interleaver (2 B per bit), two parity streams, two tables.
+  t.working_set_bytes = static_cast<std::size_t>(k) * 5 + 2 * 8 * 256;
+  std::int32_t state[2] = {t.emit(UopClass::kScalarAlu),
+                           t.emit(UopClass::kScalarAlu)};
+  for (int j = 0; j < k / 8; ++j) {
+    std::int32_t packed[2];
+    const std::int32_t in = t.emit(UopClass::kLoad, -1, -1, 8);
+    const std::int32_t masked = t.emit(UopClass::kScalarAlu, in);
+    packed[0] = t.emit(UopClass::kScalarAlu,
+                       t.emit(UopClass::kScalarAlu, masked));
+    std::int32_t acc = -1;
+    for (int b = 0; b < 8; ++b) {
+      const std::int32_t idx = t.emit(UopClass::kLoad, -1, -1, 2);
+      const std::int32_t bit = t.emit(UopClass::kLoad, idx, -1, 1);
+      acc = t.emit(UopClass::kScalarAlu, t.emit(UopClass::kScalarAlu, bit),
+                   acc);
+    }
+    packed[1] = acc;
+    for (int c = 0; c < 2; ++c) {
+      const std::int32_t at =
+          t.emit(UopClass::kScalarAlu, state[c], packed[c]);
+      std::int32_t w = t.emit(UopClass::kLoad, at, -1, 1);
+      state[c] = t.emit(UopClass::kLoad, at, -1, 1);
+      // spread8_msb_first: broadcast multiply, mask, add, shift, mask.
+      for (int op = 0; op < 5; ++op) w = t.emit(UopClass::kScalarAlu, w);
+      t.emit(UopClass::kStore, w, -1, 8);
+    }
   }
   return t;
 }

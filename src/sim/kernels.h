@@ -53,7 +53,8 @@ Trace trace_turbo_decode(IsaLevel isa, int k, int iterations,
 /// lane_groups(isa) blocks at once. Cost is for the whole batch; divide
 /// by lanes_of(isa)/8 for the per-block prediction.
 Trace trace_turbo_decode_batch(IsaLevel isa, int k, int iterations);
-/// Bit-level turbo encoding (scalar shift/xor stream).
+/// Byte-trellis turbo encoding: both constituents step eight input bits
+/// per table lookup; the second gathers its input through the QPP table.
 Trace trace_turbo_encode(int k);
 
 // --- Instruction-class micro-kernels (Fig. 7) -------------------------------

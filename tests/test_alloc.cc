@@ -260,9 +260,8 @@ TEST(CodecCacheLru, EvictsBeyondCapacityAndStaysBounded) {
   }
   const auto stats = ul.workspace().stats();
   EXPECT_GT(stats.codec_evictions, 0u);
-  // Shared cache holds <= 2 matchers/encoders; each decoder lane <= 2.
+  // Shared cache holds <= 2 matchers; each decoder lane <= 2.
   EXPECT_LE(stats.cached_matchers, 2u);
-  EXPECT_LE(stats.cached_encoders, 2u);
 }
 
 TEST(CodecCacheLru, WithinCapacityNeverEvicts) {

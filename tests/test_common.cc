@@ -231,6 +231,27 @@ TEST(BitIo, UnpackMsbFirst) {
   EXPECT_EQ(bits, want);
 }
 
+TEST(BitIo, UnpackMatchesPerBitFormula) {
+  // Every nbits from 0 to 70, then random lengths in each residue mod 8,
+  // so whole bytes and every partial tail byte are covered.
+  Xoshiro256 rng(28);
+  std::vector<std::size_t> lengths(71);
+  for (std::size_t n = 0; n < lengths.size(); ++n) lengths[n] = n;
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (int i = 0; i < 4; ++i) lengths.push_back(8 * rng.bounded(400) + r);
+  }
+  for (const std::size_t nbits : lengths) {
+    std::vector<std::uint8_t> bytes((nbits + 7) / 8 + rng.bounded(3));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+    const auto bits = unpack_bits(bytes, nbits);
+    ASSERT_EQ(bits.size(), nbits);
+    for (std::size_t i = 0; i < nbits; ++i) {
+      ASSERT_EQ(bits[i], (bytes[i / 8] >> (7 - i % 8)) & 1u)
+          << "nbits " << nbits << " bit " << i;
+    }
+  }
+}
+
 TEST(BitIo, PartialUnpackAndBounds) {
   const std::uint8_t byte = 0xFF;
   EXPECT_EQ(unpack_bits(std::span(&byte, 1), 3).size(), 3u);

@@ -5,6 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <stdexcept>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "phy/channel/channel.h"
@@ -119,6 +124,60 @@ TEST(Modulation, SoftLlrSignsMatchBitsNoiseless) {
     ASSERT_EQ(llr.size(), bits.size());
     for (std::size_t i = 0; i < bits.size(); ++i) {
       EXPECT_EQ(llr[i] > 0, bits[i] == 1) << modulation_name(m) << " " << i;
+    }
+  }
+}
+
+/// Bytes that end exactly where a PROT_NONE page starts, so any read
+/// past the last byte faults.
+class GuardedBytes {
+ public:
+  explicit GuardedBytes(std::size_t n)
+      : n_(n),
+        page_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))),
+        map_(mmap(nullptr, 2 * page_, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)) {
+    if (map_ == MAP_FAILED) throw std::runtime_error("mmap failed");
+    if (mprotect(static_cast<char*>(map_) + page_, page_, PROT_NONE) != 0) {
+      munmap(map_, 2 * page_);
+      throw std::runtime_error("mprotect failed");
+    }
+  }
+  ~GuardedBytes() { munmap(map_, 2 * page_); }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+
+  std::span<std::uint8_t> bytes() {
+    return {static_cast<std::uint8_t*>(map_) + page_ - n_, n_};
+  }
+
+ private:
+  std::size_t n_;
+  std::size_t page_;
+  void* map_;
+};
+
+TEST(Modulation, MatchesPerBitReferenceAtEverySymbolCount) {
+  // Covers inputs shorter than the 8-byte window, the windowed symbols
+  // and the per-bit tail. Input bytes carry junk above bit 0, which the
+  // mapper must ignore, and end at a guard page, which it must not read.
+  Xoshiro256 rng(90);
+  for (auto m : {Modulation::kQpsk, Modulation::k16Qam, Modulation::k64Qam}) {
+    const auto bps = static_cast<std::size_t>(bits_per_symbol(m));
+    const auto table = constellation(m);
+    for (std::size_t n_sym = 1; n_sym <= 40; ++n_sym) {
+      GuardedBytes in(n_sym * bps);
+      for (auto& b : in.bytes()) b = static_cast<std::uint8_t>(rng.next());
+      const auto sym = modulate(in.bytes(), m);
+      ASSERT_EQ(sym.size(), n_sym);
+      for (std::size_t s = 0; s < n_sym; ++s) {
+        std::size_t g = 0;
+        for (std::size_t b = 0; b < bps; ++b) {
+          g = (g << 1) | (in.bytes()[s * bps + b] & 1u);
+        }
+        EXPECT_EQ(sym[s], table[g])
+            << modulation_name(m) << " symbols " << n_sym << " at " << s;
+      }
     }
   }
 }

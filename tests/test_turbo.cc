@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
+#include <span>
 
 #include "common/rng.h"
 #include "phy/turbo/qpp_interleaver.h"
@@ -46,6 +48,8 @@ TEST(Qpp, TableHas188AscendingSizes) {
   EXPECT_EQ(sizes.front(), 40);
   EXPECT_EQ(sizes.back(), 6144);
   EXPECT_TRUE(std::is_sorted(sizes.begin(), sizes.end()));
+  // The byte-trellis encoder steps whole bytes and has no ragged tail.
+  for (const int k : sizes) EXPECT_EQ(k % 8, 0) << k;
 }
 
 TEST(Qpp, EverySizeYieldsABijection) {
@@ -139,6 +143,66 @@ TEST(TurboEncoder, AllZeroInputGivesAllZeroParity) {
                           [](std::uint8_t b) { return b == 0; }));
   EXPECT_TRUE(std::all_of(cw.d2.begin(), cw.d2.end(),
                           [](std::uint8_t b) { return b == 0; }));
+}
+
+/// Bit-serial reference encoder: one rsc_step per input bit, the second
+/// constituent fed through a QppInterleaver, then the 36.212 tail
+/// multiplexing.
+TurboCodeword reference_encode(std::span<const std::uint8_t> bits) {
+  struct Run {
+    std::vector<std::uint8_t> parity;
+    std::uint8_t xt[3], zt[3];
+  };
+  const auto run = [](std::span<const std::uint8_t> in) {
+    Run r{};
+    int state = 0;
+    for (const std::uint8_t u : in) {
+      const auto [ns, p] = rsc_step(state, u);
+      r.parity.push_back(static_cast<std::uint8_t>(p));
+      state = ns;
+    }
+    for (int t = 0; t < 3; ++t) {
+      const int u = ((state >> 1) ^ state) & 1;
+      const auto [ns, p] = rsc_step(state, u);
+      r.xt[t] = static_cast<std::uint8_t>(u);
+      r.zt[t] = static_cast<std::uint8_t>(p);
+      state = ns;
+    }
+    return r;
+  };
+  const QppInterleaver il(static_cast<int>(bits.size()));
+  std::vector<std::uint8_t> interleaved(bits.size());
+  il.interleave(bits, std::span<std::uint8_t>(interleaved));
+  const Run e1 = run(bits);
+  const Run e2 = run(interleaved);
+  TurboCodeword cw;
+  cw.d0.assign(bits.begin(), bits.end());
+  cw.d1 = e1.parity;
+  cw.d2 = e2.parity;
+  cw.d0.insert(cw.d0.end(), {e1.xt[0], e1.zt[1], e2.xt[0], e2.zt[1]});
+  cw.d1.insert(cw.d1.end(), {e1.zt[0], e1.xt[2], e2.zt[0], e2.xt[2]});
+  cw.d2.insert(cw.d2.end(), {e1.xt[1], e1.zt[2], e2.xt[1], e2.zt[2]});
+  return cw;
+}
+
+TEST(TurboEncoder, MatchesBitSerialReferenceAtEverySize) {
+  for (const int k : qpp_block_sizes()) {
+    const auto n = static_cast<std::size_t>(k);
+    std::vector<std::uint8_t> alternating(n), last_only(n, 0);
+    for (std::size_t i = 0; i < n; ++i) alternating[i] = i & 1u;
+    last_only.back() = 1;
+    const std::vector<std::uint8_t> inputs[] = {
+        random_bits(n, static_cast<std::uint64_t>(k)),
+        std::vector<std::uint8_t>(n, 1), alternating, last_only};
+    const TurboEncoder enc(k);
+    for (std::size_t c = 0; c < std::size(inputs); ++c) {
+      const auto got = enc.encode(inputs[c]);
+      const auto want = reference_encode(inputs[c]);
+      EXPECT_EQ(got.d0, want.d0) << "K " << k << " input " << c;
+      EXPECT_EQ(got.d1, want.d1) << "K " << k << " input " << c;
+      EXPECT_EQ(got.d2, want.d2) << "K " << k << " input " << c;
+    }
+  }
 }
 
 TEST(TurboEncoder, TrellisTablesConsistentWithRscStep) {
