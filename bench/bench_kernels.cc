@@ -1,7 +1,7 @@
 // google-benchmark micro-suite over the hot kernels: data arrangement
 // (every method x ISA x order), stride-2 splits, constituent MAP passes,
-// the batched-lane decoder, the full-width element kernels and the AWGN
-// channel's noise kernel. Complements the figure harnesses with
+// the batched-lane decoder, the full-width element kernels, the AWGN
+// channel's noise kernel and the OFDM FFT. Complements the figure harnesses with
 // statistically-managed per-kernel numbers.
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "common/aligned.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "phy/ofdm/fft.h"
 #include "phy/turbo/turbo_batch.h"
 #include "phy/turbo/turbo_decoder.h"
 #include "phy/turbo/turbo_encoder.h"
@@ -176,6 +177,40 @@ void BM_AwgnChannel(benchmark::State& state, IsaLevel isa) {
                           static_cast<std::int64_t>(n));
 }
 
+// One range(0)-point out-of-place FFT at one tier, the transform OFDM rx
+// (forward) and tx (inverse) run per symbol; items are complex samples.
+void BM_Fft(benchmark::State& state, IsaLevel isa, bool inverse) {
+  if (isa > best_isa()) {
+    state.SkipWithError("ISA unavailable");
+    return;
+  }
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const phy::FftPlan& plan = phy::shared_fft_plan(n);
+  std::vector<phy::Cf> in(n), out(n);
+  Xoshiro256 rng(29);
+  for (auto& x : in) {
+    x = phy::Cf(static_cast<float>(rng.uniform() - 0.5),
+                static_cast<float>(rng.uniform() - 0.5));
+  }
+  for (auto _ : state) {
+    if (inverse) {
+      plan.inverse(in, out, isa);
+    } else {
+      plan.forward(in, out, isa);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+void BM_FftForward(benchmark::State& state, IsaLevel isa) {
+  BM_Fft(state, isa, false);
+}
+void BM_FftInverse(benchmark::State& state, IsaLevel isa) {
+  BM_Fft(state, isa, true);
+}
+
 void BM_TurboEncode(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   std::vector<std::uint8_t> bits(static_cast<std::size_t>(k));
@@ -245,6 +280,15 @@ BENCHMARK_CAPTURE(BM_AwgnChannel, scalar, IsaLevel::kScalar)->Arg(6576);
 BENCHMARK_CAPTURE(BM_AwgnChannel, sse128, IsaLevel::kSse41)->Arg(6576);
 BENCHMARK_CAPTURE(BM_AwgnChannel, avx256, IsaLevel::kAvx2)->Arg(6576);
 BENCHMARK_CAPTURE(BM_AwgnChannel, avx512, IsaLevel::kAvx512)->Arg(6576);
+
+BENCHMARK_CAPTURE(BM_FftForward, scalar, IsaLevel::kScalar)->Arg(512);
+BENCHMARK_CAPTURE(BM_FftForward, sse128, IsaLevel::kSse41)->Arg(512);
+BENCHMARK_CAPTURE(BM_FftForward, avx256, IsaLevel::kAvx2)->Arg(512);
+BENCHMARK_CAPTURE(BM_FftForward, avx512, IsaLevel::kAvx512)->Arg(512);
+BENCHMARK_CAPTURE(BM_FftInverse, scalar, IsaLevel::kScalar)->Arg(512);
+BENCHMARK_CAPTURE(BM_FftInverse, sse128, IsaLevel::kSse41)->Arg(512);
+BENCHMARK_CAPTURE(BM_FftInverse, avx256, IsaLevel::kAvx2)->Arg(512);
+BENCHMARK_CAPTURE(BM_FftInverse, avx512, IsaLevel::kAvx512)->Arg(512);
 
 BENCHMARK(BM_TurboEncode)->Arg(1024)->Arg(6144);
 

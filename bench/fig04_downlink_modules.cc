@@ -44,7 +44,7 @@ int main() {
     double ipc;
   };
   const ModuleIpc ipcs[] = {
-      {"OFDM (tx)", ipc_of(sim::trace_ofdm(IsaLevel::kSse41, 512, 4))},
+      {"OFDM (tx)", ipc_of(sim::trace_ofdm(IsaLevel::kSse41, 512, 4, true))},
       {"Scrambling", ipc_of(sim::trace_scramble(IsaLevel::kScalar, 20000))},
       {"Rate matching",
        ipc_of(sim::trace_rate_match(IsaLevel::kSse41, 6144, 20000))},
@@ -78,11 +78,11 @@ int main() {
   std::printf("  %-8s %8.2f\n", "scalar",
               ipc_of(sim::trace_ofdm(IsaLevel::kScalar, 512, 4)));
   std::printf("  %-8s %8.2f\n", "sse128",
-              ipc_of(sim::trace_ofdm(IsaLevel::kSse41, 512, 4)));
+              ipc_of(sim::trace_ofdm(IsaLevel::kSse41, 512, 4, true)));
   std::printf("  %-8s %8.2f\n", "avx256",
-              ipc_of(sim::trace_ofdm(IsaLevel::kAvx2, 512, 4)));
+              ipc_of(sim::trace_ofdm(IsaLevel::kAvx2, 512, 4, true)));
   std::printf("  %-8s %8.2f\n", "avx512",
-              ipc_of(sim::trace_ofdm(IsaLevel::kAvx512, 512, 4)));
+              ipc_of(sim::trace_ofdm(IsaLevel::kAvx512, 512, 4, true)));
   // Rate matching per tier (rm_simd.h): bit collection by byte
   // transposes plus the run-by-run copy, at the ul-bulk block geometry.
   std::printf("\nRate matching port-model cycles by tier (K=4160, E=7280):\n");

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
        bench::hw::wl_rate_match(IsaLevel::kSse41, k, 20000)},
       {"Scrambling", trace_scramble(IsaLevel::kScalar, 20000),
        bench::hw::wl_scramble(20000)},
-      {"OFDM (tx)", trace_ofdm(IsaLevel::kSse41, 512, 4),
+      {"OFDM (tx)", trace_ofdm(IsaLevel::kSse41, 512, 4, true),
        bench::hw::wl_ofdm_tx(IsaLevel::kSse41, 512, 4)},
       {"Turbo decoding (UE)",
        trace_turbo_decode(IsaLevel::kSse41, k, 4, arrange::Method::kExtract),

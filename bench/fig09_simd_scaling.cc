@@ -320,21 +320,24 @@ int main() {
   }
   bench::print_rule();
 
-  // OFDM tx/rx vs register width: the float FFT + Q12 convert kernels
-  // (PR 7), measured on the default 512-point / 300-subcarrier LTE
+  // OFDM tx/rx vs register width: the register-resident FFT (DESIGN.md
+  // §5g) with the Q12 convert kernels, on one ul-bulk UE subframe (12
+  // symbols) in the benchmark's 512-point / 300-subcarrier / CP-36
   // geometry. Output is byte-identical at every tier (exactness
   // contract, fft.h), so this is a pure speed comparison.
+  const int ofdm_symbols = 12;
   std::printf(
-      "\nOFDM modulate/demodulate vs register width (measured, 512-pt, "
-      "4 symbols)\n");
-  std::printf("%-10s %12s %12s\n", "isa", "tx_us", "rx_us");
+      "\nOFDM modulate/demodulate vs register width (measured; one ul-bulk "
+      "UE subframe, %d symbols of 512 points)\n",
+      ofdm_symbols);
+  std::printf("%-10s %12s %12s %12s %12s\n", "isa", "tx_us", "tx_us/sym",
+              "rx_us", "rx_us/sym");
   bench::print_rule();
   {
-    const OfdmConfig ocfg;
-    const int symbols = 4;
+    const OfdmConfig ocfg;  // the pipelines' default geometry
     const std::size_t n_res =
         static_cast<std::size_t>(ocfg.used_subcarriers) *
-        static_cast<std::size_t>(symbols);
+        static_cast<std::size_t>(ofdm_symbols);
     auto res = std::make_shared<std::vector<IqSample>>(n_res);
     Xoshiro256 rng(23);
     for (auto& re : *res) {
@@ -354,10 +357,11 @@ int main() {
         ofdm->demodulate_into(*time, *back, *scratch);
       });
     }
-    const auto us = median_us(ways, 20);
+    const auto us = median_us(ways, 10);
     for (std::size_t t = 0; t < tiers.size(); ++t) {
-      std::printf("%-10s %12.2f %12.2f\n", isa_name(tiers[t]), us[2 * t],
-                  us[2 * t + 1]);
+      std::printf("%-10s %12.2f %12.3f %12.2f %12.3f\n", isa_name(tiers[t]),
+                  us[2 * t], us[2 * t] / ofdm_symbols, us[2 * t + 1],
+                  us[2 * t + 1] / ofdm_symbols);
     }
   }
   bench::print_rule();

@@ -1,6 +1,7 @@
 #include "phy/ofdm/fft.h"
 
 #include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,37 +14,90 @@ namespace vran::phy {
 
 namespace {
 
-/// Scalar reference butterfly pass — the arithmetic schedule every SIMD
-/// tier reproduces bit-for-bit (see fft.h). Explicit float butterfly:
-/// std::complex operator* carries NaN/Inf fix-up branches that triple
-/// the cost of the hot loop, and its operation order is unspecified —
-/// spelling the mul/add sequence out is what pins the contract.
-void fft_pass_scalar(Cf* data, std::size_t n, const Cf* stage_tw,
-                     bool inverse) {
-  for (std::size_t half = 1; half < n; half <<= 1) {
-    const std::size_t len = half << 1;
-    const Cf* tw = stage_tw + (half - 1);
-    for (std::size_t start = 0; start < n; start += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const Cf w = tw[k];
-        const float wr = w.real();
-        const float wi = inverse ? -w.imag() : w.imag();
-        const Cf x = data[start + k + half];
-        const float vr = x.real() * wr - x.imag() * wi;
-        const float vi = x.real() * wi + x.imag() * wr;
-        const Cf u = data[start + k];
-        data[start + k] = Cf(u.real() + vr, u.imag() + vi);
-        data[start + k + half] = Cf(u.real() - vr, u.imag() - vi);
+/// One radix-2 stage of half-length `half`; kScale multiplies its outputs
+/// by `scale` before they are stored.
+template <bool kScale>
+void scalar_stage(Cf* data, std::size_t n, std::size_t half, const float* wre,
+                  const float* wim, float scale) {
+  for (std::size_t start = 0; start < n; start += 2 * half) {
+    for (std::size_t k = 0; k < half; ++k) {
+      const float wr = wre[2 * k];
+      const float wi = wim[2 * k + 1];
+      const Cf x = data[start + k + half];
+      const float vr = x.real() * wr - x.imag() * wi;
+      const float vi = x.real() * wi + x.imag() * wr;
+      const Cf u = data[start + k];
+      Cf a(u.real() + vr, u.imag() + vi);
+      Cf b(u.real() - vr, u.imag() - vi);
+      if constexpr (kScale) {
+        a = Cf(a.real() * scale, a.imag() * scale);
+        b = Cf(b.real() * scale, b.imag() * scale);
       }
+      data[start + k] = a;
+      data[start + k + half] = b;
     }
   }
 }
 
-/// Minimum transform size each tier's kernel supports (one full vector
-/// of complexes); below it the dispatcher falls back a tier.
-std::size_t min_complexes(IsaLevel isa) {
+/// Scalar reference butterfly stages over bit-reversed `data` — the
+/// arithmetic schedule every SIMD tier reproduces bit-for-bit (see
+/// fft.h). Explicit float butterfly: std::complex operator* carries
+/// NaN/Inf fix-up branches that triple the cost of the hot loop, and its
+/// operation order is unspecified — spelling the mul/add sequence out is
+/// what pins the contract.
+void fft_pass_scalar(Cf* data, std::size_t n, simd::FftTwiddles tw,
+                     bool normalize) {
+  const float scale = 1.0f / static_cast<float>(n);
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    const float* wre = tw.re + 2 * half;
+    const float* wim = tw.im + 2 * half;
+    if (normalize && 2 * half == n) {
+      scalar_stage<true>(data, n, half, wre, wim, scale);
+    } else {
+      scalar_stage<false>(data, n, half, wre, wim, scale);
+    }
+  }
+  if (normalize && n == 1) {
+    data[0] = Cf(data[0].real() * scale, data[0].imag() * scale);
+  }
+}
+
+/// out[i] = in[bit-reversed i], the read order of the SSE, AVX2 and
+/// scalar tiers. For n >= 8, i = 8q + lo reads rev3(lo)·n/8 + rev(q):
+/// eight copies per step of a counter that runs in bit-reversed order.
+void bitrev_copy(const Cf* in, Cf* out, std::size_t n) {
+  if (n < 8) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t r = 0;
+      for (std::size_t b = 1, t = n >> 1; b < n; b <<= 1, t >>= 1) {
+        if (i & b) r |= t;
+      }
+      out[i] = in[r];
+    }
+    return;
+  }
+  const std::size_t rows = n / 8;
+  std::size_t base = 0;
+  for (std::size_t q = 0; q < rows; ++q) {
+    const Cf* s = in + base;
+    Cf* o = out + 8 * q;
+    o[0] = s[0];
+    o[1] = s[4 * rows];
+    o[2] = s[2 * rows];
+    o[3] = s[6 * rows];
+    o[4] = s[rows];
+    o[5] = s[5 * rows];
+    o[6] = s[3 * rows];
+    o[7] = s[7 * rows];
+    base = simd::reversed_next(base, rows);
+  }
+}
+
+/// Minimum transform size of each tier's kernel; below it the
+/// dispatcher falls back a tier.
+std::size_t min_size(IsaLevel isa) {
   switch (isa) {
-    case IsaLevel::kAvx512: return simd::kAvx512ComplexLanes;
+    case IsaLevel::kAvx512: return simd::kAvx512FftBlock;
     case IsaLevel::kAvx2: return simd::kAvx2ComplexLanes;
     case IsaLevel::kSse41: return simd::kSseComplexLanes;
     case IsaLevel::kScalar: return 1;
@@ -57,102 +111,89 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
   if (n == 0 || (n & (n - 1)) != 0) {
     throw std::invalid_argument("FftPlan: size must be a power of two");
   }
-  bitrev_.resize(n);
-  std::size_t bits = 0;
-  while ((1u << bits) < n) ++bits;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t r = 0;
-    for (std::size_t b = 0; b < bits; ++b) {
-      if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (bits - 1 - b);
-    }
-    bitrev_[i] = r;
-  }
-  // Per-stage contiguous twiddles: stage half h at offset h - 1, entry k
-  // is e^(-2*pi*i * k * step / n) with step = n / (2h) — the same double
-  // -> float values the radix-2 loop has always used, now laid out so
-  // every tier streams them with unit stride.
-  stage_tw_.resize(n > 1 ? n - 1 : 0);
+  // Per-stage contiguous twiddles: stage half h at complex offset h,
+  // entry k is e^(-2*pi*i * k * step / n) with step = n / (2h) — the same
+  // double -> float values the radix-2 loop has always used. The inverse
+  // conjugates; both are split for the complex multiply (FftTwiddles).
+  for (auto* v : {&fwd_re_, &fwd_im_, &inv_re_, &inv_im_}) v->assign(2 * n, 0);
   for (std::size_t half = 1; half < n; half <<= 1) {
     const std::size_t step = n / (half << 1);
     for (std::size_t k = 0; k < half; ++k) {
       const double ang =
           -2.0 * std::numbers::pi * double(k * step) / double(n);
-      stage_tw_[half - 1 + k] = Cf(static_cast<float>(std::cos(ang)),
-                                   static_cast<float>(std::sin(ang)));
+      const float wr = static_cast<float>(std::cos(ang));
+      const float wi = static_cast<float>(std::sin(ang));
+      const std::size_t j = 2 * (half + k);
+      fwd_re_[j] = fwd_re_[j + 1] = inv_re_[j] = inv_re_[j + 1] = wr;
+      fwd_im_[j] = -wi;
+      fwd_im_[j + 1] = wi;
+      inv_im_[j] = wi;
+      inv_im_[j + 1] = -wi;
     }
   }
 }
 
-void FftPlan::transform(std::span<Cf> data, bool inverse,
-                        IsaLevel isa) const {
-  if (data.size() != n_) throw std::invalid_argument("FFT size mismatch");
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(data[i], data[j]);
+void FftPlan::transform(std::span<const Cf> in, std::span<Cf> out,
+                        bool inverse, IsaLevel isa) const {
+  if (in.size() != n_ || out.size() != n_) {
+    throw std::invalid_argument("FFT size mismatch");
+  }
+  const std::less<const Cf*> before;
+  if (before(in.data(), out.data() + n_) &&
+      before(out.data(), in.data() + n_)) {
+    throw std::invalid_argument("FFT input and output overlap");
   }
   // Clamp to what the CPU can execute (never SIGILL on a forced tier)
-  // and to the kernels' minimum vector count for tiny transforms.
+  // and to the kernels' minimum size for tiny transforms.
   IsaLevel tier = std::min(isa, cpu_features().best());
-  while (tier > IsaLevel::kScalar && n_ < min_complexes(tier)) {
+  while (tier > IsaLevel::kScalar && n_ < min_size(tier)) {
     tier = static_cast<IsaLevel>(static_cast<int>(tier) - 1);
   }
-  Cf* d = data.data();
-  const Cf* tw = stage_tw_.data();
+  const simd::FftTwiddles tw =
+      inverse ? simd::FftTwiddles{inv_re_.data(), inv_im_.data()}
+              : simd::FftTwiddles{fwd_re_.data(), fwd_im_.data()};
+  if (tier == IsaLevel::kAvx512) {
+    simd::fft_avx512(in.data(), out.data(), n_, tw, inverse);
+    return;
+  }
+  bitrev_copy(in.data(), out.data(), n_);
   switch (tier) {
-    case IsaLevel::kAvx512:
-      simd::fft_pass_avx512(d, n_, tw, inverse);
-      break;
     case IsaLevel::kAvx2:
-      simd::fft_pass_avx2(d, n_, tw, inverse);
+      simd::fft_pass_avx2(out.data(), n_, tw, inverse);
       break;
     case IsaLevel::kSse41:
-      simd::fft_pass_sse(d, n_, tw, inverse);
+      simd::fft_pass_sse(out.data(), n_, tw, inverse);
       break;
-    case IsaLevel::kScalar:
-      fft_pass_scalar(d, n_, tw, inverse);
+    default:
+      fft_pass_scalar(out.data(), n_, tw, inverse);
       break;
-  }
-  if (inverse) {
-    const float inv = 1.0f / static_cast<float>(n_);
-    switch (tier) {
-      case IsaLevel::kAvx512:
-        simd::scale_avx512(d, n_, inv);
-        break;
-      case IsaLevel::kAvx2:
-        simd::scale_avx2(d, n_, inv);
-        break;
-      case IsaLevel::kSse41:
-        simd::scale_sse(d, n_, inv);
-        break;
-      case IsaLevel::kScalar:
-        for (std::size_t i = 0; i < n_; ++i) {
-          d[i] = Cf(d[i].real() * inv, d[i].imag() * inv);
-        }
-        break;
-    }
   }
 }
 
-void FftPlan::forward(std::span<Cf> data) const {
-  transform(data, false, best_isa());
+void FftPlan::forward(std::span<const Cf> in, std::span<Cf> out,
+                      IsaLevel isa) const {
+  transform(in, out, false, isa);
 }
-void FftPlan::inverse(std::span<Cf> data) const {
-  transform(data, true, best_isa());
+void FftPlan::inverse(std::span<const Cf> in, std::span<Cf> out,
+                      IsaLevel isa) const {
+  transform(in, out, true, isa);
 }
+
 void FftPlan::forward(std::span<Cf> data, IsaLevel isa) const {
-  transform(data, false, isa);
+  const std::vector<Cf> in(data.begin(), data.end());
+  transform(in, data, false, isa);
 }
 void FftPlan::inverse(std::span<Cf> data, IsaLevel isa) const {
-  transform(data, true, isa);
+  const std::vector<Cf> in(data.begin(), data.end());
+  transform(in, data, true, isa);
 }
+void FftPlan::forward(std::span<Cf> data) const { forward(data, best_isa()); }
+void FftPlan::inverse(std::span<Cf> data) const { inverse(data, best_isa()); }
 
-namespace {
-/// Process-wide plan cache: plans are immutable and never evicted, so a
-/// reference handed out under the lock stays valid for the process
-/// lifetime (map nodes are stable). Shared across threads — the old
-/// thread_local cache rebuilt every plan once per thread and its
-/// "thread-safe" story relied on that duplication.
-const FftPlan& cached_plan(std::size_t n) {
+const FftPlan& shared_fft_plan(std::size_t n) {
+  // Plans are immutable and never evicted, so a reference handed out
+  // under the lock stays valid for the process lifetime (map nodes are
+  // stable).
   static std::mutex mu;
   static std::map<std::size_t, std::unique_ptr<FftPlan>> plans;
   const std::lock_guard<std::mutex> lock(mu);
@@ -160,10 +201,13 @@ const FftPlan& cached_plan(std::size_t n) {
   if (!slot) slot = std::make_unique<FftPlan>(n);
   return *slot;
 }
-}  // namespace
 
-void fft_forward(std::span<Cf> data) { cached_plan(data.size()).forward(data); }
-void fft_inverse(std::span<Cf> data) { cached_plan(data.size()).inverse(data); }
+void fft_forward(std::span<Cf> data) {
+  shared_fft_plan(data.size()).forward(data);
+}
+void fft_inverse(std::span<Cf> data) {
+  shared_fft_plan(data.size()).inverse(data);
+}
 
 std::vector<Cf> dft_reference(std::span<const Cf> in, bool inverse) {
   const std::size_t n = in.size();

@@ -1,18 +1,19 @@
 // Iterative radix-2 complex FFT used by the OFDM modulator/demodulator,
-// with SSE / AVX2 / AVX-512 butterfly kernels behind runtime ISA
-// dispatch.
+// with SSE / AVX2 / AVX-512 kernels behind runtime ISA dispatch.
 //
 // Exactness contract (see TESTING.md "Float-kernel exactness"): every
 // tier executes the SAME arithmetic schedule — the identical radix-2
-// stage decomposition, the identical per-stage twiddle values (one
-// table, precomputed once per plan, shared by all tiers), complex
-// multiplies as two mul + one add/sub per component in a fixed order,
-// and no FMA contraction anywhere (the SIMD translation units compile
-// with -ffp-contract=off). SIMD lanes only carry *independent*
-// butterflies, so each output element's rounding history is identical
-// at every tier: the tiers are float-bit-identical to the scalar path,
-// not merely close. That is what lets the OFDM harness assert
-// byte-identical Q12 output across tiers instead of a tolerance.
+// decimation-in-time stage decomposition, the identical per-stage
+// twiddle values (one table per direction, precomputed once per plan,
+// shared by all tiers), complex multiplies as two mul + one add/sub per
+// component in a fixed order, the inverse's 1/N as one multiply of each
+// last-stage output, and no FMA contraction anywhere (the SIMD
+// translation units compile with -ffp-contract=off). SIMD lanes only
+// carry *independent* butterflies, so each output element's rounding
+// history is identical at every tier: the tiers are float-bit-identical
+// to the scalar path, not merely close. That is what lets the OFDM
+// harness assert byte-identical Q12 output across tiers instead of a
+// tolerance.
 #pragma once
 
 #include <complex>
@@ -27,44 +28,47 @@ namespace vran::phy {
 
 using Cf = std::complex<float>;
 
-/// Precomputed bit-reversal + per-stage twiddle plan for one power-of-two
-/// size. Immutable after construction; safe to share across threads.
+/// Precomputed per-stage twiddle plan for one power-of-two size.
+/// Immutable after construction; safe to share across threads.
 class FftPlan {
  public:
   explicit FftPlan(std::size_t n);
 
   std::size_t size() const { return n_; }
 
-  /// In-place forward DFT (no normalization), dispatched on best_isa().
-  void forward(std::span<Cf> data) const;
-  /// In-place inverse DFT, normalized by 1/N, dispatched on best_isa().
-  void inverse(std::span<Cf> data) const;
-
-  /// Explicit-tier variants (clamped to the executing CPU's capability;
-  /// narrow sizes additionally fall back until the kernel's minimum
-  /// vector count fits). Bit-identical across every tier by the
+  /// Out-of-place DFT of `in` (n samples, read in bit-reversed order)
+  /// into `out` (n samples); the ranges must not overlap. Forward is
+  /// unnormalized, inverse normalized by 1/N. `isa` is clamped to the
+  /// executing CPU's capability, and sizes below a tier's minimum
+  /// block fall back a tier. Bit-identical across every tier by the
   /// exactness contract above.
+  void forward(std::span<const Cf> in, std::span<Cf> out, IsaLevel isa) const;
+  void inverse(std::span<const Cf> in, std::span<Cf> out, IsaLevel isa) const;
+
+  /// In-place variants: copy `data` aside and run the out-of-place
+  /// kernel back into it (allocates; not for hot paths).
+  void forward(std::span<Cf> data) const;
+  void inverse(std::span<Cf> data) const;
   void forward(std::span<Cf> data, IsaLevel isa) const;
   void inverse(std::span<Cf> data, IsaLevel isa) const;
 
-  /// Concatenated per-stage twiddle tables: the stage with half-length h
-  /// (h = 1, 2, 4, ..., n/2) starts at offset h - 1 and holds h entries
-  /// w[k] = e^(-2*pi*i * k * (n / 2h) / n), contiguous in k. One table
-  /// serves every tier and both directions (inverse conjugates at use).
-  std::span<const Cf> stage_twiddles() const { return stage_tw_; }
-
  private:
-  void transform(std::span<Cf> data, bool inverse, IsaLevel isa) const;
+  void transform(std::span<const Cf> in, std::span<Cf> out, bool inverse,
+                 IsaLevel isa) const;
 
   std::size_t n_;
-  std::vector<std::size_t> bitrev_;
-  AlignedVector<Cf> stage_tw_;   // n - 1 entries, see stage_twiddles()
+  // Per direction, the stage twiddles pre-split for the complex
+  // multiply, 2n floats each (layout: simd::FftTwiddles).
+  AlignedVector<float> fwd_re_, fwd_im_, inv_re_, inv_im_;
 };
 
-/// One-shot helpers. The per-size plan cache is a process-wide
-/// mutex-guarded map (plans are immutable and never evicted, so returned
-/// references stay valid): safe to call concurrently from any number of
+/// The process-wide immutable plan for size `n`, built on first use.
+/// Plans are never evicted, so the reference stays valid for the
+/// process lifetime; safe to call concurrently from any number of
 /// threads over any mix of sizes (TSan-covered by test_ofdm_simd).
+const FftPlan& shared_fft_plan(std::size_t n);
+
+/// One-shot in-place helpers over shared_fft_plan(data.size()).
 void fft_forward(std::span<Cf> data);
 void fft_inverse(std::span<Cf> data);
 

@@ -61,7 +61,7 @@ void convert_cf_to_q12(IsaLevel isa, const Cf* in, IqSample* out,
 
 OfdmModulator::OfdmModulator(OfdmConfig cfg, IsaLevel isa)
     : cfg_(cfg),
-      plan_(static_cast<std::size_t>(cfg.nfft)),
+      plan_(&shared_fft_plan(static_cast<std::size_t>(cfg.nfft))),
       isa_(std::min(isa, cpu_features().best())) {
   if (cfg_.used_subcarriers % 2 != 0 || cfg_.used_subcarriers >= cfg_.nfft) {
     throw std::invalid_argument("OfdmModulator: bad subcarrier count");
@@ -71,39 +71,36 @@ OfdmModulator::OfdmModulator(OfdmConfig cfg, IsaLevel isa)
   }
 }
 
-void OfdmModulator::modulate_symbol_into(std::span<const IqSample> res,
-                                         Cf* out, std::span<Cf> grid) const {
+void OfdmModulator::modulate_symbol_into(const IqSample* res,
+                                         std::size_t count,
+                                         std::span<Cf> grid, Cf* out) const {
   const std::size_t n = static_cast<std::size_t>(cfg_.nfft);
   const std::size_t half =
       static_cast<std::size_t>(cfg_.used_subcarriers / 2);
-  const std::span<Cf> g = grid.first(n);
-  std::fill(g.begin(), g.end(), Cf{0.0f, 0.0f});
   // Subcarriers -nsc/2..-1 and +1..+nsc/2 around DC (DC unused): two
-  // contiguous runs, each one dispatched Q12->float convert.
-  //   positive bins 1..half      <- REs half..nsc-1
+  // contiguous runs, each one dispatched Q12->float convert; the bins
+  // of REs a partial final symbol lacks are zero.
   //   negative bins n-half..n-1  <- REs 0..half-1
-  convert_q12_to_cf(isa_, res.data() + half, g.data() + 1, half,
-                    cfg_.iq_scale);
-  convert_q12_to_cf(isa_, res.data(), g.data() + (n - half), half,
-                    cfg_.iq_scale);
-  plan_.inverse(g, isa_);
+  //   positive bins 1..half      <- REs half..nsc-1
+  const std::size_t lo = std::min(count, half);
+  const std::size_t hi = count - lo;
+  Cf* g = grid.data();
+  convert_q12_to_cf(isa_, res, g + (n - half), lo, cfg_.iq_scale);
+  std::fill(g + (n - half) + lo, g + n, Cf{});
+  if (hi > 0) convert_q12_to_cf(isa_, res + half, g + 1, hi, cfg_.iq_scale);
+  std::fill(g + 1 + hi, g + 1 + half, Cf{});
 
-  // Cyclic prefix insert: two straight copies.
   const std::size_t cp = static_cast<std::size_t>(cfg_.cp_len);
-  std::memcpy(out, g.data() + (n - cp), cp * sizeof(Cf));
-  std::memcpy(out + cp, g.data(), n * sizeof(Cf));
+  plan_->inverse(grid, std::span<Cf>(out + cp, n), isa_);
+  std::memcpy(out, out + n, cp * sizeof(Cf));
 }
 
 std::vector<Cf> OfdmModulator::modulate_symbol(
     std::span<const IqSample> res) const {
-  const int nsc = cfg_.used_subcarriers;
-  if (res.size() != static_cast<std::size_t>(nsc)) {
+  if (res.size() != static_cast<std::size_t>(cfg_.used_subcarriers)) {
     throw std::invalid_argument("modulate_symbol: RE count mismatch");
   }
-  std::vector<Cf> out(static_cast<std::size_t>(ofdm_symbol_samples(cfg_)));
-  std::vector<Cf> grid(static_cast<std::size_t>(cfg_.nfft));
-  modulate_symbol_into(res, out.data(), grid);
-  return out;
+  return modulate(res);
 }
 
 void OfdmModulator::extract_res(const Cf* grid, IqSample* out,
@@ -123,43 +120,38 @@ std::vector<IqSample> OfdmModulator::demodulate_symbol(
   if (time.size() != static_cast<std::size_t>(ofdm_symbol_samples(cfg_))) {
     throw std::invalid_argument("demodulate_symbol: sample count mismatch");
   }
-  std::vector<Cf> grid(time.begin() + cfg_.cp_len, time.end());
-  plan_.forward(grid, isa_);
-  std::vector<IqSample> res(
-      static_cast<std::size_t>(cfg_.used_subcarriers));
-  extract_res(grid.data(), res.data(), res.size());
-  return res;
+  return demodulate(time, static_cast<std::size_t>(cfg_.used_subcarriers));
 }
 
 std::vector<Cf> OfdmModulator::modulate(std::span<const IqSample> res) const {
+  std::vector<Cf> out;
+  modulate_into(res, out);
+  return out;
+}
+
+void OfdmModulator::modulate_into(std::span<const IqSample> res,
+                                  std::vector<Cf>& time) const {
   const std::size_t cap = static_cast<std::size_t>(ofdm_symbol_capacity(cfg_));
   const std::size_t samples =
       static_cast<std::size_t>(ofdm_symbol_samples(cfg_));
-  const std::size_t nsym = res.empty() ? 0 : (res.size() + cap - 1) / cap;
-  std::vector<Cf> out(nsym * samples);
-  std::vector<Cf> grid(static_cast<std::size_t>(cfg_.nfft));
-  std::vector<IqSample> pad;  // zero-padded final partial symbol
+  const std::size_t n = static_cast<std::size_t>(cfg_.nfft);
+  const std::size_t nsym = (res.size() + cap - 1) / cap;
+  // The IFFT's input grid lives past the last symbol, so the buffer's
+  // own capacity serves as scratch and the call stays allocation-free
+  // once `time` has held this many samples.
+  time.resize(nsym * samples + n);
+  const std::span<Cf> grid(time.data() + nsym * samples, n);
+  std::fill(grid.begin(), grid.end(), Cf{});
   for (std::size_t s = 0; s < nsym; ++s) {
     const std::size_t at = s * cap;
-    const std::size_t take = std::min(cap, res.size() - at);
-    std::span<const IqSample> sym = res.subspan(at, take);
-    if (take < cap) {
-      pad.assign(cap, IqSample{});
-      std::copy(sym.begin(), sym.end(), pad.begin());
-      sym = pad;
-    }
-    modulate_symbol_into(sym, out.data() + s * samples, grid);
+    modulate_symbol_into(res.data() + at, std::min(cap, res.size() - at),
+                         grid, time.data() + s * samples);
   }
-  return out;
+  time.resize(nsym * samples);
 }
 
 std::vector<IqSample> OfdmModulator::demodulate(std::span<const Cf> time,
                                                 std::size_t re_count) const {
-  const std::size_t samples =
-      static_cast<std::size_t>(ofdm_symbol_samples(cfg_));
-  if (time.size() % samples != 0) {
-    throw std::invalid_argument("demodulate: partial OFDM symbol");
-  }
   std::vector<IqSample> res(re_count);
   std::vector<Cf> scratch(static_cast<std::size_t>(cfg_.nfft));
   demodulate_into(time, res, scratch);
@@ -173,6 +165,7 @@ void OfdmModulator::demodulate_into(std::span<const Cf> time,
   const std::size_t samples =
       static_cast<std::size_t>(ofdm_symbol_samples(cfg_));
   const std::size_t n = static_cast<std::size_t>(cfg_.nfft);
+  const std::size_t cp = static_cast<std::size_t>(cfg_.cp_len);
   if (time.size() % samples != 0) {
     throw std::invalid_argument("demodulate: partial OFDM symbol");
   }
@@ -184,19 +177,15 @@ void OfdmModulator::demodulate_into(std::span<const Cf> time,
   }
   const std::span<Cf> grid = fft_scratch.first(n);
 
-  std::size_t produced = 0;
-  for (std::size_t at = 0; at < time.size() && produced < out.size();
+  for (std::size_t at = 0, produced = 0; produced < out.size();
        at += samples) {
-    // Cyclic prefix strip: one straight copy into the caller's scratch.
-    std::memcpy(grid.data(),
-                time.data() + at + static_cast<std::size_t>(cfg_.cp_len),
-                n * sizeof(Cf));
-    plan_.forward(grid, isa_);
-    // Same extraction as demodulate_symbol, but only the REs that land
-    // inside `out` (the final symbol is usually partial).
-    const std::size_t remain = out.size() - produced;
-    extract_res(grid.data(), out.data() + produced, std::min(cap, remain));
-    produced += std::min(cap, remain);
+    // The FFT reads the symbol's body in place, past its cyclic prefix.
+    plan_->forward(time.subspan(at + cp, n), grid, isa_);
+    // Only the REs that land inside `out` (the final symbol is usually
+    // partial).
+    const std::size_t take = std::min(cap, out.size() - produced);
+    extract_res(grid.data(), out.data() + produced, take);
+    produced += take;
   }
 }
 

@@ -53,14 +53,23 @@ class OfdmModulator {
   /// Inverse: strip CP, FFT, extract the used subcarriers back to Q12.
   std::vector<IqSample> demodulate_symbol(std::span<const Cf> time) const;
 
-  /// Multi-symbol convenience: pads the final symbol with zero REs.
+  /// Multi-symbol convenience: the final symbol's missing REs are zero.
   std::vector<Cf> modulate(std::span<const IqSample> res) const;
   std::vector<IqSample> demodulate(std::span<const Cf> time,
                                    std::size_t re_count) const;
 
+  /// modulate() into a caller-owned buffer: `time` is resized to the
+  /// symbols' samples and reuses its capacity, so a buffer kept across
+  /// calls stops allocating once it has held the largest count (it
+  /// briefly holds nfft more samples, the IFFT's input grid).
+  /// Bit-identical to modulate(res).
+  void modulate_into(std::span<const IqSample> res,
+                     std::vector<Cf>& time) const;
+
   /// Allocation-free demodulate: writes the first `out.size()` REs into
-  /// `out` using `fft_scratch` (>= nfft samples, caller-owned) for the
-  /// CP-stripped grid. Bit-identical to demodulate(time, out.size()).
+  /// `out`. Each symbol's FFT reads `time` right after its cyclic prefix
+  /// and writes its grid to `fft_scratch` (>= nfft samples,
+  /// caller-owned). Bit-identical to demodulate(time, out.size()).
   void demodulate_into(std::span<const Cf> time, std::span<IqSample> out,
                        std::span<Cf> fft_scratch) const;
 
@@ -71,14 +80,15 @@ class OfdmModulator {
   /// REs half..), so each run is one dispatched convert-kernel call.
   void extract_res(const Cf* grid, IqSample* out, std::size_t count) const;
 
-  /// One full symbol (res.size() == used_subcarriers) into
-  /// out[0..ofdm_symbol_samples) using caller-owned `grid` (>= nfft)
-  /// scratch — the allocation-free core modulate/modulate_symbol share.
-  void modulate_symbol_into(std::span<const IqSample> res, Cf* out,
-                            std::span<Cf> grid) const;
+  /// Write the first `count` (<= used_subcarriers) REs of one symbol
+  /// into the zeroed frequency grid `grid` (nfft), zero its remaining
+  /// used bins, and IFFT it into out[cp_len..] with the cyclic prefix
+  /// copied from the symbol's tail into out[0..cp_len).
+  void modulate_symbol_into(const IqSample* res, std::size_t count,
+                            std::span<Cf> grid, Cf* out) const;
 
   OfdmConfig cfg_;
-  FftPlan plan_;
+  const FftPlan* plan_;  ///< shared_fft_plan(nfft)
   IsaLevel isa_;
 };
 

@@ -33,29 +33,58 @@ inline std::int16_t quantize_q12(float v) {
       static_cast<std::int32_t>(std::nearbyintf(v)));
 }
 
-/// Complexes per vector register at each tier (the kernels' minimum n).
+/// Complexes per vector register at the SSE / AVX2 tiers (the kernels'
+/// minimum n).
 inline constexpr std::size_t kSseComplexLanes = 2;
 inline constexpr std::size_t kAvx2ComplexLanes = 4;
-inline constexpr std::size_t kAvx512ComplexLanes = 8;
 
-// --- FFT butterfly passes ---------------------------------------------------
-// All log2(n) radix-2 stages over bit-reversed `data`, reading the
-// plan's concatenated per-stage twiddle table (fft.h stage_twiddles()).
-// Stages whose half-length fits inside one register run as in-register
-// shuffle butterflies; wider stages vectorize the contiguous inner k
-// loop. Requires n >= (complex lanes of the tier).
+/// Next value of a counter that runs in bit-reversed order over the bits
+/// below `top` (a power of two): add one at the top bit, carry down.
+inline std::size_t reversed_next(std::size_t r, std::size_t top) {
+  std::size_t bit = top >> 1;
+  while ((r & bit) != 0) {
+    r ^= bit;
+    bit >>= 1;
+  }
+  return r | bit;
+}
 
-void fft_pass_sse(Cf* data, std::size_t n, const Cf* stage_tw, bool inverse);
-void fft_pass_avx2(Cf* data, std::size_t n, const Cf* stage_tw, bool inverse);
-void fft_pass_avx512(Cf* data, std::size_t n, const Cf* stage_tw,
-                     bool inverse);
+// --- FFT kernels -------------------------------------------------------------
+
+/// One direction's stage twiddles, pre-split for the complex multiply
+/// v = x * w as `x * re + swap(x) * im` (DESIGN.md §5g). The stage with
+/// half-length h (h = 1, 2, 4, ..., n/2) starts at complex offset h, so
+/// every stage of 8 or more entries starts 64-byte aligned, and holds h
+/// entries k, w = e^(∓2πi·k·(n/2h)/n) (minus sign forward; the inverse
+/// is the conjugate):
+///   re[2(h+k)] = re[2(h+k)+1] = Re w
+///   im[2(h+k)] = -Im w,  im[2(h+k)+1] = Im w
+/// so x * re + swap(x) * im = (xr·wr + (−(xi·wi)), xi·wr + xr·wi), which
+/// is exactly the scalar xr·wr − xi·wi, xr·wi + xi·wr.
+struct FftTwiddles {
+  const float* re;
+  const float* im;
+};
+
+/// Minimum transform size of the AVX-512 kernel: one 8 x 8 block.
+inline constexpr std::size_t kAvx512FftBlock = 64;
+
+/// The whole AVX-512 transform, `in` -> `out` (n >= kAvx512FftBlock):
+/// per 8 x 8 block, eight row loads in bit-reversed row order, the
+/// stages h = 1, 2, 4 across registers, one complex transpose and eight
+/// row stores; then the wide stages over `out`. `normalize` multiplies
+/// the last stage's outputs by 1/n before they are stored.
+void fft_avx512(const Cf* in, Cf* out, std::size_t n, FftTwiddles tw,
+                bool normalize);
+
+/// Every radix-2 stage over bit-reversed `data` in place: stages whose
+/// half-length fits inside one register run as in-register shuffle
+/// butterflies, wider stages vectorize the contiguous inner k loop.
+/// Requires n >= the tier's complex lanes. `normalize` as above.
+void fft_pass_sse(Cf* data, std::size_t n, FftTwiddles tw, bool normalize);
+void fft_pass_avx2(Cf* data, std::size_t n, FftTwiddles tw, bool normalize);
 
 // --- Elementwise helpers ----------------------------------------------------
-
-/// data[i] *= s for both components (inverse-FFT 1/N normalization).
-void scale_sse(Cf* data, std::size_t n, float s);
-void scale_avx2(Cf* data, std::size_t n, float s);
-void scale_avx512(Cf* data, std::size_t n, float s);
 
 /// out[i] = { in[i].i * scale, in[i].q * scale } — Q12 ingress convert
 /// (subcarrier map runs it once per contiguous half around DC).

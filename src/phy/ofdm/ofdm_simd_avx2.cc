@@ -15,13 +15,6 @@ namespace {
 
 constexpr int kNeg = static_cast<int>(0x80000000u);
 
-inline __m256 sign_even() {
-  return _mm256_castsi256_ps(
-      _mm256_setr_epi32(kNeg, 0, kNeg, 0, kNeg, 0, kNeg, 0));
-}
-inline __m256 sign_all() {
-  return _mm256_castsi256_ps(_mm256_set1_epi32(kNeg));
-}
 // Negate the upper complex of each length-2 group (complexes 1, 3).
 inline __m256 sign_hi2() {
   return _mm256_castsi256_ps(
@@ -33,80 +26,82 @@ inline __m256 sign_hi4() {
       _mm256_setr_epi32(0, 0, 0, 0, kNeg, kNeg, kNeg, kNeg));
 }
 
-inline __m256 cmul(__m256 x, __m256 w, __m256 conj, __m256 se) {
-  const __m256 wre = _mm256_moveldup_ps(w);
-  const __m256 wim = _mm256_xor_ps(_mm256_movehdup_ps(w), conj);
+/// v = x * w from pre-split twiddles (FftTwiddles): mul, permute, mul,
+/// add — per component the scalar two muls and one add or subtract.
+inline __m256 cmul(__m256 x, __m256 wre, __m256 wim) {
   const __m256 t1 = _mm256_mul_ps(x, wre);
   const __m256 xs = _mm256_permute_ps(x, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m256 t2 = _mm256_mul_ps(xs, wim);
-  return _mm256_add_ps(t1, _mm256_xor_ps(t2, se));
+  return _mm256_add_ps(t1, _mm256_mul_ps(xs, wim));
 }
 
 }  // namespace
 
-void fft_pass_avx2(Cf* data, std::size_t n, const Cf* stage_tw,
-                   bool inverse) {
+void fft_pass_avx2(Cf* data, std::size_t n, FftTwiddles tw, bool normalize) {
   float* f = reinterpret_cast<float*>(data);
-  const float* twf = reinterpret_cast<const float*>(stage_tw);
-  const __m256 conj = inverse ? sign_all() : _mm256_setzero_ps();
-  const __m256 se = sign_even();
+  const __m256 scale = _mm256_set1_ps(1.0f / static_cast<float>(n));
 
-  // Stage half = 1: two length-2 groups per register.
+  // Stage half = 1: two length-2 groups per register. OUT = U + (v ^
+  // sign), and u + (-v) is exactly u - v.
   {
-    double w0;
-    std::memcpy(&w0, twf, sizeof(w0));
-    const __m256 tw = _mm256_castpd_ps(_mm256_set1_pd(w0));
+    double wi;
+    std::memcpy(&wi, tw.im + 2, sizeof(wi));
+    const __m256 wre = _mm256_set1_ps(tw.re[2]);
+    const __m256 wim = _mm256_castpd_ps(_mm256_set1_pd(wi));
     const __m256 sh = sign_hi2();
+    const bool last = normalize && n == 2;
     for (std::size_t i = 0; i < n; i += 4) {
       const __m256d a = _mm256_castps_pd(_mm256_loadu_ps(f + 2 * i));
       const __m256 u = _mm256_castpd_ps(_mm256_unpacklo_pd(a, a));
       const __m256 x = _mm256_castpd_ps(_mm256_unpackhi_pd(a, a));
-      const __m256 v = cmul(x, tw, conj, se);
-      _mm256_storeu_ps(f + 2 * i, _mm256_add_ps(u, _mm256_xor_ps(v, sh)));
+      __m256 o = _mm256_add_ps(u, _mm256_xor_ps(cmul(x, wre, wim), sh));
+      if (last) o = _mm256_mul_ps(o, scale);
+      _mm256_storeu_ps(f + 2 * i, o);
     }
   }
 
-  // Stage half = 2: one length-4 group per register. Twiddles w0,w1 at
-  // stage offset 1 broadcast to both 128-bit lanes.
+  // Stage half = 2: one length-4 group per register. Twiddles w0, w1 at
+  // stage offset 2 broadcast to both 128-bit lanes.
   {
-    const __m256 tw =
-        _mm256_broadcast_ps(reinterpret_cast<const __m128*>(twf + 2));
+    const __m256 wre = _mm256_broadcast_ps(
+        reinterpret_cast<const __m128*>(tw.re + 4));
+    const __m256 wim = _mm256_broadcast_ps(
+        reinterpret_cast<const __m128*>(tw.im + 4));
     const __m256 sh = sign_hi4();
+    const bool last = normalize && n == 4;
     for (std::size_t i = 0; i < n; i += 4) {
       const __m256d a = _mm256_castps_pd(_mm256_loadu_ps(f + 2 * i));
       const __m256 u = _mm256_castpd_ps(_mm256_permute4x64_pd(a, 0x44));
       const __m256 x = _mm256_castpd_ps(_mm256_permute4x64_pd(a, 0xEE));
-      const __m256 v = cmul(x, tw, conj, se);
-      _mm256_storeu_ps(f + 2 * i, _mm256_add_ps(u, _mm256_xor_ps(v, sh)));
+      __m256 o = _mm256_add_ps(u, _mm256_xor_ps(cmul(x, wre, wim), sh));
+      if (last) o = _mm256_mul_ps(o, scale);
+      _mm256_storeu_ps(f + 2 * i, o);
     }
   }
 
   // Wide stages (half >= 4 complex lanes).
   for (std::size_t half = 4; half < n; half <<= 1) {
     const std::size_t len = half << 1;
-    const float* tws = twf + 2 * (half - 1);
+    const bool last = normalize && len == n;
+    const float* wre = tw.re + 2 * half;
+    const float* wim = tw.im + 2 * half;
     for (std::size_t s = 0; s < n; s += len) {
       for (std::size_t k = 0; k < half; k += 4) {
-        const __m256 w = _mm256_loadu_ps(tws + 2 * k);
-        const __m256 u = _mm256_loadu_ps(f + 2 * (s + k));
-        const __m256 x = _mm256_loadu_ps(f + 2 * (s + k + half));
-        const __m256 v = cmul(x, w, conj, se);
-        _mm256_storeu_ps(f + 2 * (s + k), _mm256_add_ps(u, v));
-        _mm256_storeu_ps(f + 2 * (s + k + half), _mm256_sub_ps(u, v));
+        float* pu = f + 2 * (s + k);
+        float* px = pu + 2 * half;
+        const __m256 u = _mm256_loadu_ps(pu);
+        const __m256 v = cmul(_mm256_loadu_ps(px), _mm256_load_ps(wre + 2 * k),
+                              _mm256_load_ps(wim + 2 * k));
+        __m256 a = _mm256_add_ps(u, v);
+        __m256 b = _mm256_sub_ps(u, v);
+        if (last) {
+          a = _mm256_mul_ps(a, scale);
+          b = _mm256_mul_ps(b, scale);
+        }
+        _mm256_storeu_ps(pu, a);
+        _mm256_storeu_ps(px, b);
       }
     }
   }
-}
-
-void scale_avx2(Cf* data, std::size_t n, float s) {
-  float* f = reinterpret_cast<float*>(data);
-  const std::size_t m = 2 * n;
-  const __m256 vs = _mm256_set1_ps(s);
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    _mm256_storeu_ps(f + i, _mm256_mul_ps(_mm256_loadu_ps(f + i), vs));
-  }
-  for (; i < m; ++i) f[i] *= s;
 }
 
 void q12_to_cf_avx2(const IqSample* in, Cf* out, std::size_t n, float scale) {

@@ -12,107 +12,165 @@
 namespace vran::phy::simd {
 namespace {
 
-constexpr int kNeg = static_cast<int>(0x80000000u);
-
-// Negate the float lanes selected by `m` (bit i -> lane i).
-inline __m512 neg_lanes(__mmask16 m) {
-  return _mm512_castsi512_ps(_mm512_maskz_set1_epi32(m, kNeg));
-}
-inline __m512 sign_even() { return neg_lanes(0x5555); }
-inline __m512 sign_all() { return neg_lanes(0xFFFF); }
-inline __m512 sign_hi2() { return neg_lanes(0xCCCC); }  // complexes 1,3,5,7
-inline __m512 sign_hi4() { return neg_lanes(0xF0F0); }  // complexes 2,3,6,7
-inline __m512 sign_hi8() { return neg_lanes(0xFF00); }  // complexes 4..7
-
-inline __m512 cmul(__m512 x, __m512 w, __m512 conj, __m512 se) {
-  const __m512 wre = _mm512_moveldup_ps(w);
-  const __m512 wim = _mm512_xor_ps(_mm512_movehdup_ps(w), conj);
+/// v = x * w from pre-split twiddles (FftTwiddles): mul, permute, mul,
+/// add — per component the scalar two muls and one add or subtract.
+inline __m512 cmul(__m512 x, __m512 wre, __m512 wim) {
   const __m512 t1 = _mm512_mul_ps(x, wre);
   const __m512 xs = _mm512_permute_ps(x, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m512 t2 = _mm512_mul_ps(xs, wim);
-  return _mm512_add_ps(t1, _mm512_xor_ps(t2, se));
+  return _mm512_add_ps(t1, _mm512_mul_ps(xs, wim));
 }
+
+/// One register of radix-2 butterflies: u' = u + v, x' = u - v with
+/// v = x * w.
+inline void butterfly(__m512& u, __m512& x, __m512 wre, __m512 wim) {
+  const __m512 v = cmul(x, wre, wim);
+  x = _mm512_sub_ps(u, v);
+  u = _mm512_add_ps(u, v);
+}
+
+/// Transpose of an 8 x 8 block of complexes: r[j] lane c -> r[c] lane j.
+inline void transpose8x8(__m512 r[8]) {
+  __m512d t[8];
+  for (int j = 0; j < 8; j += 2) {
+    const __m512d a = _mm512_castps_pd(r[j]);
+    const __m512d b = _mm512_castps_pd(r[j + 1]);
+    t[j] = _mm512_unpacklo_pd(a, b);      // lanes 0 2 4 6 of rows j, j+1
+    t[j + 1] = _mm512_unpackhi_pd(a, b);  // lanes 1 3 5 7
+  }
+  const __m512i lo = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+  const __m512i hi = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+  // s[c] (c < 4) holds lanes c and c + 4 of rows 0-3, s[c + 4] the same
+  // lanes of rows 4-7.
+  __m512d s[8];
+  for (int q = 0; q < 8; q += 4) {
+    s[q + 0] = _mm512_permutex2var_pd(t[q + 0], lo, t[q + 2]);
+    s[q + 2] = _mm512_permutex2var_pd(t[q + 0], hi, t[q + 2]);
+    s[q + 1] = _mm512_permutex2var_pd(t[q + 1], lo, t[q + 3]);
+    s[q + 3] = _mm512_permutex2var_pd(t[q + 1], hi, t[q + 3]);
+  }
+  for (int c = 0; c < 4; ++c) {
+    r[c] = _mm512_castpd_ps(
+        _mm512_shuffle_f64x2(s[c], s[c + 4], _MM_SHUFFLE(1, 0, 1, 0)));
+    r[c + 4] = _mm512_castpd_ps(
+        _mm512_shuffle_f64x2(s[c], s[c + 4], _MM_SHUFFLE(3, 2, 3, 2)));
+  }
+}
+
+/// Three-bit reversal: row j of a block holds input row kRev3[j].
+constexpr std::size_t kRev3[8] = {0, 4, 2, 6, 1, 5, 3, 7};
 
 }  // namespace
 
-void fft_pass_avx512(Cf* data, std::size_t n, const Cf* stage_tw,
-                     bool inverse) {
-  float* f = reinterpret_cast<float*>(data);
-  const float* twf = reinterpret_cast<const float*>(stage_tw);
-  const __m512 conj = inverse ? sign_all() : _mm512_setzero_ps();
-  const __m512 se = sign_even();
+void fft_avx512(const Cf* in, Cf* out, std::size_t n, FftTwiddles tw,
+                bool normalize) {
+  const float* fi = reinterpret_cast<const float*>(in);
+  float* fo = reinterpret_cast<float*>(out);
+  const std::size_t rows = n / 8;  // 8-complex rows per transform
+  const std::size_t blocks = n / kAvx512FftBlock;
 
-  // Stage half = 1: four length-2 groups per register.
-  {
-    double w0;
-    std::memcpy(&w0, twf, sizeof(w0));
-    const __m512 tw = _mm512_castpd_ps(_mm512_set1_pd(w0));
-    const __m512 sh = sign_hi2();
-    for (std::size_t i = 0; i < n; i += 8) {
-      const __m512d a = _mm512_castps_pd(_mm512_loadu_ps(f + 2 * i));
-      const __m512 u = _mm512_castpd_ps(_mm512_unpacklo_pd(a, a));
-      const __m512 x = _mm512_castpd_ps(_mm512_unpackhi_pd(a, a));
-      const __m512 v = cmul(x, tw, conj, se);
-      _mm512_storeu_ps(f + 2 * i, _mm512_add_ps(u, _mm512_xor_ps(v, sh)));
-    }
+  // Stages h = 1, 2, 4 take complex twiddles 1..7 (offset h, entry k),
+  // each broadcast to every lane: butterfly pairs sit in two registers.
+  __m512 bre[8], bim[8];
+  for (int j = 1; j < 8; ++j) {
+    double im;
+    std::memcpy(&im, tw.im + 2 * j, sizeof(im));
+    bre[j] = _mm512_set1_ps(tw.re[2 * j]);
+    bim[j] = _mm512_castpd_ps(_mm512_set1_pd(im));
   }
 
-  // Stage half = 2: two length-4 groups per register. Twiddles w0,w1 at
-  // stage offset 1 broadcast to every 128-bit lane.
-  {
-    const __m512 tw = _mm512_broadcast_f32x4(_mm_loadu_ps(twf + 2));
-    const __m512 sh = sign_hi4();
-    for (std::size_t i = 0; i < n; i += 8) {
-      const __m512d a = _mm512_castps_pd(_mm512_loadu_ps(f + 2 * i));
-      const __m512 u = _mm512_castpd_ps(_mm512_permutex_pd(a, 0x44));
-      const __m512 x = _mm512_castpd_ps(_mm512_permutex_pd(a, 0xEE));
-      const __m512 v = cmul(x, tw, conj, se);
-      _mm512_storeu_ps(f + 2 * i, _mm512_add_ps(u, _mm512_xor_ps(v, sh)));
+  // Output index (hi, mid, lo) of 3 + log2(blocks) + 3 bits reads input
+  // (rev lo, rev mid, rev hi). Block `mid` loads register j from input
+  // row (kRev3[j], rev mid), so output position lo of row hi is lane
+  // kRev3[hi] of register lo: the first three stages pair registers,
+  // and the transpose turns register c into output row kRev3[c].
+  std::size_t rmid = 0;
+  for (std::size_t mid = 0; mid < blocks; ++mid) {
+    __m512 x[8];
+    for (int j = 0; j < 8; ++j) {
+      x[j] = _mm512_loadu_ps(fi + 2 * (kRev3[j] * rows + 8 * rmid));
     }
+    butterfly(x[0], x[1], bre[1], bim[1]);
+    butterfly(x[2], x[3], bre[1], bim[1]);
+    butterfly(x[4], x[5], bre[1], bim[1]);
+    butterfly(x[6], x[7], bre[1], bim[1]);
+    butterfly(x[0], x[2], bre[2], bim[2]);
+    butterfly(x[1], x[3], bre[3], bim[3]);
+    butterfly(x[4], x[6], bre[2], bim[2]);
+    butterfly(x[5], x[7], bre[3], bim[3]);
+    butterfly(x[0], x[4], bre[4], bim[4]);
+    butterfly(x[1], x[5], bre[5], bim[5]);
+    butterfly(x[2], x[6], bre[6], bim[6]);
+    butterfly(x[3], x[7], bre[7], bim[7]);
+    transpose8x8(x);
+    for (int c = 0; c < 8; ++c) {
+      _mm512_storeu_ps(fo + 2 * (kRev3[c] * rows + 8 * mid), x[c]);
+    }
+    rmid = reversed_next(rmid, blocks);
   }
 
-  // Stage half = 4: one length-8 group per register. Twiddles w0..w3 at
-  // stage offset 3 broadcast to both 256-bit halves.
-  {
-    const __m512 tw = _mm512_broadcast_f32x8(_mm256_loadu_ps(twf + 6));
-    const __m512 sh = sign_hi8();
-    for (std::size_t i = 0; i < n; i += 8) {
-      const __m512d a = _mm512_castps_pd(_mm512_loadu_ps(f + 2 * i));
-      const __m512 u = _mm512_castpd_ps(
-          _mm512_shuffle_f64x2(a, a, _MM_SHUFFLE(1, 0, 1, 0)));
-      const __m512 x = _mm512_castpd_ps(
-          _mm512_shuffle_f64x2(a, a, _MM_SHUFFLE(3, 2, 3, 2)));
-      const __m512 v = cmul(x, tw, conj, se);
-      _mm512_storeu_ps(f + 2 * i, _mm512_add_ps(u, _mm512_xor_ps(v, sh)));
-    }
-  }
-
-  // Wide stages (half >= 8 complex lanes).
-  for (std::size_t half = 8; half < n; half <<= 1) {
-    const std::size_t len = half << 1;
-    const float* tws = twf + 2 * (half - 1);
-    for (std::size_t s = 0; s < n; s += len) {
+  // Wide stages (half >= 8): contiguous U / X / twiddle registers, two
+  // stages h, 2h per pass over blocks of 4h while two remain.
+  const __m512 scale = _mm512_set1_ps(1.0f / static_cast<float>(n));
+  std::size_t half = 8;
+  for (; 4 * half <= n; half <<= 2) {
+    const bool last = normalize && 4 * half == n;
+    const float* w1r = tw.re + 2 * half;
+    const float* w1i = tw.im + 2 * half;
+    const float* w2r = tw.re + 4 * half;
+    const float* w2i = tw.im + 4 * half;
+    for (std::size_t s = 0; s < n; s += 4 * half) {
       for (std::size_t k = 0; k < half; k += 8) {
-        const __m512 w = _mm512_loadu_ps(tws + 2 * k);
-        const __m512 u = _mm512_loadu_ps(f + 2 * (s + k));
-        const __m512 x = _mm512_loadu_ps(f + 2 * (s + k + half));
-        const __m512 v = cmul(x, w, conj, se);
-        _mm512_storeu_ps(f + 2 * (s + k), _mm512_add_ps(u, v));
-        _mm512_storeu_ps(f + 2 * (s + k + half), _mm512_sub_ps(u, v));
+        float* p0 = fo + 2 * (s + k);
+        float* p1 = p0 + 2 * half;
+        float* p2 = p1 + 2 * half;
+        float* p3 = p2 + 2 * half;
+        __m512 a = _mm512_loadu_ps(p0);
+        __m512 b = _mm512_loadu_ps(p1);
+        __m512 c = _mm512_loadu_ps(p2);
+        __m512 d = _mm512_loadu_ps(p3);
+        const __m512 wr = _mm512_load_ps(w1r + 2 * k);
+        const __m512 wi = _mm512_load_ps(w1i + 2 * k);
+        butterfly(a, b, wr, wi);
+        butterfly(c, d, wr, wi);
+        butterfly(a, c, _mm512_load_ps(w2r + 2 * k),
+                  _mm512_load_ps(w2i + 2 * k));
+        butterfly(b, d, _mm512_load_ps(w2r + 2 * (k + half)),
+                  _mm512_load_ps(w2i + 2 * (k + half)));
+        if (last) {
+          a = _mm512_mul_ps(a, scale);
+          b = _mm512_mul_ps(b, scale);
+          c = _mm512_mul_ps(c, scale);
+          d = _mm512_mul_ps(d, scale);
+        }
+        _mm512_storeu_ps(p0, a);
+        _mm512_storeu_ps(p1, b);
+        _mm512_storeu_ps(p2, c);
+        _mm512_storeu_ps(p3, d);
       }
     }
   }
-}
-
-void scale_avx512(Cf* data, std::size_t n, float s) {
-  float* f = reinterpret_cast<float*>(data);
-  const std::size_t m = 2 * n;
-  const __m512 vs = _mm512_set1_ps(s);
-  std::size_t i = 0;
-  for (; i + 16 <= m; i += 16) {
-    _mm512_storeu_ps(f + i, _mm512_mul_ps(_mm512_loadu_ps(f + i), vs));
+  for (; half < n; half <<= 1) {
+    const std::size_t len = half << 1;
+    const bool last = normalize && len == n;
+    const float* wre = tw.re + 2 * half;
+    const float* wim = tw.im + 2 * half;
+    for (std::size_t s = 0; s < n; s += len) {
+      for (std::size_t k = 0; k < half; k += 8) {
+        float* pu = fo + 2 * (s + k);
+        float* px = pu + 2 * half;
+        __m512 u = _mm512_loadu_ps(pu);
+        __m512 x = _mm512_loadu_ps(px);
+        butterfly(u, x, _mm512_load_ps(wre + 2 * k),
+                  _mm512_load_ps(wim + 2 * k));
+        if (last) {
+          u = _mm512_mul_ps(u, scale);
+          x = _mm512_mul_ps(x, scale);
+        }
+        _mm512_storeu_ps(pu, u);
+        _mm512_storeu_ps(px, x);
+      }
+    }
   }
-  for (; i < m; ++i) f[i] *= s;
 }
 
 void q12_to_cf_avx512(const IqSample* in, Cf* out, std::size_t n,

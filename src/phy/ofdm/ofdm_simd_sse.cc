@@ -14,75 +14,67 @@ namespace {
 
 constexpr int kNeg = static_cast<int>(0x80000000u);
 
-// Negate real (even) float lanes — turns the add in cmul into the
-// scalar schedule's subtract (a - b == a + (-b) exactly in IEEE).
-inline __m128 sign_even() { return _mm_castsi128_ps(_mm_setr_epi32(kNeg, 0, kNeg, 0)); }
-// Negate all lanes (inverse-transform twiddle conjugation).
-inline __m128 sign_all() { return _mm_castsi128_ps(_mm_set1_epi32(kNeg)); }
 // Negate the upper complex of each length-2 butterfly group.
 inline __m128 sign_hi2() { return _mm_castsi128_ps(_mm_setr_epi32(0, 0, kNeg, kNeg)); }
 
-/// v[j] = x[j] * w[j] (complex), as 2 muls + 1 add/sub per component in
-/// the fixed scalar order: vr = xr*wr - xi*wi, vi = xi*wr + xr*wi.
-inline __m128 cmul(__m128 x, __m128 w, __m128 conj, __m128 se) {
-  const __m128 wre = _mm_moveldup_ps(w);
-  const __m128 wim = _mm_xor_ps(_mm_movehdup_ps(w), conj);
+/// v = x * w from pre-split twiddles (FftTwiddles): mul, permute, mul,
+/// add — per component the scalar vr = xr*wr - xi*wi (as xr*wr +
+/// (-(xi*wi)), exact) and vi = xr*wi + xi*wr.
+inline __m128 cmul(__m128 x, __m128 wre, __m128 wim) {
   const __m128 t1 = _mm_mul_ps(x, wre);
   const __m128 xs = _mm_shuffle_ps(x, x, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m128 t2 = _mm_mul_ps(xs, wim);
-  return _mm_add_ps(t1, _mm_xor_ps(t2, se));
+  return _mm_add_ps(t1, _mm_mul_ps(xs, wim));
 }
 
 }  // namespace
 
-void fft_pass_sse(Cf* data, std::size_t n, const Cf* stage_tw, bool inverse) {
+void fft_pass_sse(Cf* data, std::size_t n, FftTwiddles tw, bool normalize) {
   float* f = reinterpret_cast<float*>(data);
-  const float* twf = reinterpret_cast<const float*>(stage_tw);
-  const __m128 conj = inverse ? sign_all() : _mm_setzero_ps();
-  const __m128 se = sign_even();
+  const __m128 scale = _mm_set1_ps(1.0f / static_cast<float>(n));
 
   // Stage half = 1: one full length-2 butterfly group per register,
-  // computed in-register: OUT = U + (cmul(X, w0) ^ sign_hi).
+  // computed in-register: OUT = U + (cmul(X, w) ^ sign_hi).
   {
-    double w0;
-    std::memcpy(&w0, twf, sizeof(w0));
-    const __m128 tw = _mm_castpd_ps(_mm_set1_pd(w0));
+    double wi;
+    std::memcpy(&wi, tw.im + 2, sizeof(wi));
+    const __m128 wre = _mm_set1_ps(tw.re[2]);
+    const __m128 wim = _mm_castpd_ps(_mm_set1_pd(wi));
     const __m128 sh = sign_hi2();
+    const bool last = normalize && n == 2;
     for (std::size_t i = 0; i < n; i += 2) {
       const __m128 a = _mm_loadu_ps(f + 2 * i);
       const __m128 u = _mm_shuffle_ps(a, a, _MM_SHUFFLE(1, 0, 1, 0));
       const __m128 x = _mm_shuffle_ps(a, a, _MM_SHUFFLE(3, 2, 3, 2));
-      const __m128 v = cmul(x, tw, conj, se);
-      _mm_storeu_ps(f + 2 * i, _mm_add_ps(u, _mm_xor_ps(v, sh)));
+      __m128 o = _mm_add_ps(u, _mm_xor_ps(cmul(x, wre, wim), sh));
+      if (last) o = _mm_mul_ps(o, scale);
+      _mm_storeu_ps(f + 2 * i, o);
     }
   }
 
   // Wide stages (half >= 2 complex lanes): contiguous U/X/twiddle loads.
   for (std::size_t half = 2; half < n; half <<= 1) {
     const std::size_t len = half << 1;
-    const float* tws = twf + 2 * (half - 1);
+    const bool last = normalize && len == n;
+    const float* wre = tw.re + 2 * half;
+    const float* wim = tw.im + 2 * half;
     for (std::size_t s = 0; s < n; s += len) {
       for (std::size_t k = 0; k < half; k += 2) {
-        const __m128 w = _mm_loadu_ps(tws + 2 * k);
-        const __m128 u = _mm_loadu_ps(f + 2 * (s + k));
-        const __m128 x = _mm_loadu_ps(f + 2 * (s + k + half));
-        const __m128 v = cmul(x, w, conj, se);
-        _mm_storeu_ps(f + 2 * (s + k), _mm_add_ps(u, v));
-        _mm_storeu_ps(f + 2 * (s + k + half), _mm_sub_ps(u, v));
+        float* pu = f + 2 * (s + k);
+        float* px = pu + 2 * half;
+        const __m128 u = _mm_loadu_ps(pu);
+        const __m128 v = cmul(_mm_loadu_ps(px), _mm_load_ps(wre + 2 * k),
+                              _mm_load_ps(wim + 2 * k));
+        __m128 a = _mm_add_ps(u, v);
+        __m128 b = _mm_sub_ps(u, v);
+        if (last) {
+          a = _mm_mul_ps(a, scale);
+          b = _mm_mul_ps(b, scale);
+        }
+        _mm_storeu_ps(pu, a);
+        _mm_storeu_ps(px, b);
       }
     }
   }
-}
-
-void scale_sse(Cf* data, std::size_t n, float s) {
-  float* f = reinterpret_cast<float*>(data);
-  const std::size_t m = 2 * n;
-  const __m128 vs = _mm_set1_ps(s);
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    _mm_storeu_ps(f + i, _mm_mul_ps(_mm_loadu_ps(f + i), vs));
-  }
-  for (; i < m; ++i) f[i] *= s;
 }
 
 void q12_to_cf_sse(const IqSample* in, Cf* out, std::size_t n, float scale) {

@@ -2,6 +2,7 @@
 
 #include "phy/crc/crc.h"
 #include "phy/segmentation/segmentation.h"
+#include "phy/turbo/qpp_interleaver.h"
 
 namespace vran::pipeline {
 
@@ -35,7 +36,11 @@ CodecCache::Stats CodecCache::stats() const {
 
 PipelineWorkspace::PipelineWorkspace(std::size_t codec_capacity)
     : codec_capacity_(codec_capacity == 0 ? 1 : codec_capacity),
-      codecs_(codec_capacity_) {}
+      codecs_(codec_capacity_) {
+  // The shared QPP table of all 188 sizes is built by its first call
+  // (about 1 ms); taking it here keeps that out of every TTI.
+  (void)phy::qpp_table(phy::kMaxCodeBlock);
+}
 
 CodecCache& PipelineWorkspace::lane(std::size_t lane) {
   while (lanes_.size() <= lane) {

@@ -503,53 +503,137 @@ Trace trace_ofdm(int nfft, int symbols) {
   return t;
 }
 
-Trace trace_ofdm(IsaLevel isa, int nfft, int symbols) {
+namespace {
+
+/// v = x * w with pre-split twiddles: mul, permute, mul, add. `wre` /
+/// `wim` are the twiddle registers' producers (-1 when hoisted).
+std::int32_t emit_cmul(Trace& t, std::int32_t x, std::int32_t wre,
+                       std::int32_t wim) {
+  const std::int32_t t1 = t.emit(UopClass::kVecAlu, x, wre);
+  const std::int32_t xs = t.emit(UopClass::kVecShuffle, x);
+  const std::int32_t t2 = t.emit(UopClass::kVecAlu, xs, wim);
+  return t.emit(UopClass::kVecAlu, t1, t2);
+}
+
+/// One register of butterflies: u' = u + v, x' = u - v; updates u, x.
+void emit_butterfly(Trace& t, std::int32_t& u, std::int32_t& x,
+                    std::int32_t wre = -1, std::int32_t wim = -1) {
+  const std::int32_t v = emit_cmul(t, x, wre, wim);
+  x = t.emit(UopClass::kVecAlu, u, v);
+  u = t.emit(UopClass::kVecAlu, u, v);
+}
+
+/// The inverse's 1/N multiply on a last-stage output.
+std::int32_t emit_scaled(Trace& t, std::int32_t v, bool scale) {
+  return scale ? t.emit(UopClass::kVecAlu, v) : v;
+}
+
+}  // namespace
+
+Trace trace_ofdm(IsaLevel isa, int nfft, int symbols, bool inverse) {
   if (isa == IsaLevel::kScalar) return trace_ofdm(nfft, symbols);
+  if (isa == IsaLevel::kAvx512 && nfft < 64) {  // below one 8 x 8 block
+    return trace_ofdm(IsaLevel::kAvx2, nfft, symbols, inverse);
+  }
   Trace t;
   t.register_bits =
       isa == IsaLevel::kAvx512 ? 512 : (isa == IsaLevel::kAvx2 ? 256 : 128);
-  t.working_set_bytes = static_cast<std::size_t>(nfft) * 8;
+  // Input symbol, output grid and one direction's split twiddles.
+  t.working_set_bytes = static_cast<std::size_t>(nfft) * 8 * 4;
   const int w = t.register_bits / 64;  // complex floats per register
-  const int reg_bytes = w * 8;
-  int stages = 0;
-  while ((1 << stages) < nfft) ++stages;
+  const std::uint16_t rb = static_cast<std::uint16_t>(w * 8);
+  const auto load = [&t, rb] { return t.emit(UopClass::kLoad, -1, -1, rb); };
+  const auto store = [&t, rb](std::int32_t v) {
+    t.emit(UopClass::kStore, v, -1, rb);
+  };
   for (int s = 0; s < symbols; ++s) {
-    for (int st = 0; st < stages; ++st) {
-      const int half = 1 << st;
-      if (half < w) {
-        // Fused in-register stage: one register of w complexes holds
-        // whole butterfly groups. Load, two group permutes, the
-        // shuffle+mul/add complex multiply, sign flip, add, store.
+    int half = 1;
+    if (isa == IsaLevel::kAvx512) {
+      // Per 8 x 8 block: eight row loads in bit-reversed row order, the
+      // stages h = 1, 2, 4 across registers (hoisted broadcast
+      // twiddles), the 24-shuffle complex transpose, eight row stores.
+      for (int b = 0; b < nfft / 64; ++b) {
+        std::int32_t x[8];
+        for (auto& r : x) r = load();
+        for (int h = 1; h < 8; h <<= 1) {
+          for (int j = 0; j < 8; ++j) {
+            if ((j & h) == 0) emit_butterfly(t, x[j], x[j + h]);
+          }
+        }
+        std::int32_t y[8];
+        for (int j = 0; j < 8; j += 2) {  // unpacklo / unpackhi
+          y[j] = t.emit(UopClass::kVecShuffle, x[j], x[j + 1]);
+          y[j + 1] = t.emit(UopClass::kVecShuffle, x[j], x[j + 1]);
+        }
+        for (int q = 0; q < 8; q += 4) {  // two-source 128-bit permutes
+          for (int j = 0; j < 2; ++j) {
+            x[q + j] = t.emit(UopClass::kVecShuffle, y[q + j], y[q + j + 2]);
+            x[q + j + 2] =
+                t.emit(UopClass::kVecShuffle, y[q + j], y[q + j + 2]);
+          }
+        }
+        for (int c = 0; c < 4; ++c) {  // 256-bit half shuffles
+          store(t.emit(UopClass::kVecShuffle, x[c], x[c + 4]));
+          store(t.emit(UopClass::kVecShuffle, x[c], x[c + 4]));
+        }
+      }
+      half = 8;
+      // Wide stages two at a time over blocks of 4h: four data and six
+      // twiddle loads, four butterflies, four stores per iteration.
+      for (; 4 * half <= nfft; half <<= 2) {
+        const bool scale = inverse && 4 * half == nfft;
+        for (int i = 0; i < nfft / (4 * w); ++i) {
+          std::int32_t a = load(), b = load(), c = load(), d = load();
+          const std::int32_t w1r = load(), w1i = load();
+          emit_butterfly(t, a, b, w1r, w1i);
+          emit_butterfly(t, c, d, w1r, w1i);
+          const std::int32_t w2r = load(), w2i = load();
+          emit_butterfly(t, a, c, w2r, w2i);
+          const std::int32_t w3r = load(), w3i = load();
+          emit_butterfly(t, b, d, w3r, w3i);
+          for (const std::int32_t v : {a, b, c, d}) {
+            store(emit_scaled(t, v, scale));
+          }
+        }
+        t.emit(UopClass::kBranch);
+      }
+    } else {
+      // Gather copy in bit-reversed order: one 8-byte load and store per
+      // complex, a reversed-counter step per eight.
+      std::int32_t ctr = t.emit(UopClass::kScalarAlu);
+      for (int i = 0; i < nfft; ++i) {
+        if (i % 8 == 0) {
+          ctr = t.emit(UopClass::kScalarAlu, ctr);
+          t.emit(UopClass::kBranch, ctr);
+        }
+        const std::int32_t v = t.emit(UopClass::kLoad, ctr, -1, 8);
+        t.emit(UopClass::kStore, v, -1, 8);
+      }
+      // Stages whose group fits in one register: load, two group
+      // permutes, the complex multiply, sign flip, add, store.
+      for (; half < w && half < nfft; half <<= 1) {
+        const bool scale = inverse && 2 * half == nfft;
         for (int b = 0; b < nfft / w; ++b) {
-          const std::int32_t a = t.emit(UopClass::kLoad, -1, -1, reg_bytes);
+          const std::int32_t a = load();
           const std::int32_t pu = t.emit(UopClass::kVecShuffle, a);
           const std::int32_t px = t.emit(UopClass::kVecShuffle, a);
-          const std::int32_t xs = t.emit(UopClass::kVecShuffle, px);
-          const std::int32_t t1 = t.emit(UopClass::kVecAlu, px);
-          const std::int32_t t2 = t.emit(UopClass::kVecAlu, xs);
-          const std::int32_t v = t.emit(UopClass::kVecAlu, t1, t2);
+          const std::int32_t v = emit_cmul(t, px, -1, -1);
           const std::int32_t vn = t.emit(UopClass::kVecAlu, v);
-          const std::int32_t o = t.emit(UopClass::kVecAlu, pu, vn);
-          t.emit(UopClass::kStore, o, -1, reg_bytes);
+          store(emit_scaled(t, t.emit(UopClass::kVecAlu, pu, vn), scale));
         }
-      } else {
-        // Wide stage: contiguous twiddle/U/X loads, w butterflies per
-        // iteration. Independent across iterations.
-        for (int b = 0; b < nfft / (2 * w); ++b) {
-          const std::int32_t wv = t.emit(UopClass::kLoad, -1, -1, reg_bytes);
-          const std::int32_t u = t.emit(UopClass::kLoad, -1, -1, reg_bytes);
-          const std::int32_t x = t.emit(UopClass::kLoad, -1, -1, reg_bytes);
-          const std::int32_t wre = t.emit(UopClass::kVecShuffle, wv);
-          const std::int32_t wim = t.emit(UopClass::kVecShuffle, wv);
-          const std::int32_t xs = t.emit(UopClass::kVecShuffle, x);
-          const std::int32_t t1 = t.emit(UopClass::kVecAlu, x, wre);
-          const std::int32_t t2 = t.emit(UopClass::kVecAlu, xs, wim);
-          const std::int32_t v = t.emit(UopClass::kVecAlu, t1, t2);
-          const std::int32_t oa = t.emit(UopClass::kVecAlu, u, v);
-          const std::int32_t ob = t.emit(UopClass::kVecAlu, u, v);
-          t.emit(UopClass::kStore, oa, -1, reg_bytes);
-          t.emit(UopClass::kStore, ob, -1, reg_bytes);
-        }
+        t.emit(UopClass::kBranch);
+      }
+    }
+    // Remaining wide stages one at a time: twiddle / U / X loads, one
+    // butterfly, two stores per register of butterflies.
+    for (; half < nfft; half <<= 1) {
+      const bool scale = inverse && 2 * half == nfft;
+      for (int b = 0; b < nfft / (2 * w); ++b) {
+        const std::int32_t wre = load(), wim = load();
+        std::int32_t u = load(), x = load();
+        emit_butterfly(t, u, x, wre, wim);
+        store(emit_scaled(t, u, scale));
+        store(emit_scaled(t, x, scale));
       }
       t.emit(UopClass::kBranch);
     }

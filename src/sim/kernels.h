@@ -73,13 +73,16 @@ Trace trace_vec_extract(IsaLevel isa, std::size_t n_elems,
 
 /// Scalar radix-2 FFT butterflies ("do_ofdm").
 Trace trace_ofdm(int nfft, int symbols);
-/// SIMD radix-2 FFT at the given tier: early stages whose butterfly
-/// group fits in one register run as in-register shuffle butterflies
-/// (one load / one store per register of complexes); wide stages
-/// vectorize the contiguous inner loop (3 loads, shuffle + mul/add
-/// complex multiply, 2 stores per iteration). kScalar falls through to
-/// the scalar trace above.
-Trace trace_ofdm(IsaLevel isa, int nfft, int symbols);
+/// SIMD radix-2 FFT at the given tier (fft.h, DESIGN.md §5g), every
+/// complex multiply as mul, permute, mul, add on pre-split twiddles. At
+/// AVX-512: per 8 x 8 block eight row loads in bit-reversed order, the
+/// first three stages across registers, a 24-shuffle transpose and
+/// eight stores, then the wide stages two per pass. At SSE / AVX2: a
+/// bit-reversed gather copy, in-register shuffle butterflies while a
+/// group fits one register, then one pass per wide stage. `inverse`
+/// adds the 1/N multiply on the last stage's outputs. kScalar falls
+/// through to the scalar trace above.
+Trace trace_ofdm(IsaLevel isa, int nfft, int symbols, bool inverse = false);
 /// LLR descrambling of n elements at a kernel tier: the word-parallel
 /// Gold generator (one 32-bit word per 32 lanes) plus, at kScalar, a
 /// per-lane test / negate / narrow store; at AVX-512 one mask register

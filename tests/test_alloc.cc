@@ -84,6 +84,20 @@ void expect_zero_alloc_steady_state(IsaLevel isa, int workers,
   EXPECT_EQ(stats.codec_evictions, 0u);
 }
 
+// Runs first, and alone in the test_alloc_qpp_setup ctest process, so
+// the shared QPP table starts unbuilt: constructing a pipeline builds
+// it, and the first TTI's lookup then allocates nothing.
+TEST(QppTableAtSetup, PipelineConstructionBuildsTheSharedTable) {
+  if (!alloc_stats::interposed()) {
+    GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+  }
+  const UplinkPipeline ul(alloc_config(best_isa(), 1));
+  const std::uint64_t before = alloc_stats::news();
+  const auto t = phy::qpp_table(6144);
+  EXPECT_EQ(alloc_stats::news() - before, 0u);
+  EXPECT_EQ(t.pi.size(), 6144u);
+}
+
 TEST(AllocSteadyState, ScalarSingleWorker) {
   expect_zero_alloc_steady_state(IsaLevel::kScalar, 1, 700, 1);
 }

@@ -18,11 +18,13 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <numbers>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "common/cpu_features.h"
+#include "guard_page.h"
 #include "phy/ofdm/fft.h"
 #include "phy/ofdm/ofdm.h"
 
@@ -143,6 +145,135 @@ TEST(FftExactness, AllTiersBitIdenticalToScalar) {
           << "inverse n=" << n << " isa=" << isa_name(isa);
     }
   }
+}
+
+/// The radix-2 schedule fft.h pins, written out independently of the
+/// library: an index bit-reversal, then every stage with twiddles
+/// computed as the plan does (double cos/sin rounded to float, conjugated
+/// for the inverse), two muls and one add or subtract per component, and
+/// the inverse's 1/N as a final multiply of each sample.
+std::vector<Cf> schedule_reference(std::span<const Cf> in, bool inverse) {
+  const std::size_t n = in.size();
+  std::size_t bits = 0;
+  while ((std::size_t{1} << bits) < n) ++bits;
+  std::vector<Cf> d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t r = 0;
+    for (std::size_t b = 0; b < bits; ++b) {
+      if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (bits - 1 - b);
+    }
+    d[i] = in[r];
+  }
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    const std::size_t step = n / (2 * half);
+    for (std::size_t start = 0; start < n; start += 2 * half) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const double ang =
+            -2.0 * std::numbers::pi * double(k * step) / double(n);
+        const float wr = static_cast<float>(std::cos(ang));
+        const float w_im = static_cast<float>(std::sin(ang));
+        const float wi = inverse ? -w_im : w_im;
+        const Cf x = d[start + k + half];
+        const float vr = x.real() * wr - x.imag() * wi;
+        const float vi = x.real() * wi + x.imag() * wr;
+        const Cf u = d[start + k];
+        d[start + k] = Cf(u.real() + vr, u.imag() + vi);
+        d[start + k + half] = Cf(u.real() - vr, u.imag() - vi);
+      }
+    }
+  }
+  if (inverse) {
+    const float s = 1.0f / static_cast<float>(n);
+    for (auto& v : d) v = Cf(v.real() * s, v.imag() * s);
+  }
+  return d;
+}
+
+/// Inputs that stress the sign and subnormal paths: a mix of random
+/// values, +-0, +-subnormals, and a transmit-style grid whose only
+/// non-zero bins are two runs around DC.
+std::vector<std::vector<Cf>> exactness_inputs(std::size_t n) {
+  std::vector<std::vector<Cf>> out;
+  out.push_back(random_signal(n, 0x0FE00000u + std::uint32_t(n)));
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1.5e-39f,
+                            -2.5e-39f,
+                            std::numeric_limits<float>::min(),
+                            0.75f};
+  std::mt19937 rng(0x0FE10000u + std::uint32_t(n));
+  std::vector<Cf> special(n);
+  for (auto& v : special) v = Cf(specials[rng() % 8], specials[rng() % 8]);
+  out.push_back(special);
+  std::vector<Cf> grid(n, Cf{0.0f, 0.0f});
+  const auto noise = random_signal(n, 0x0FE20000u + std::uint32_t(n));
+  for (std::size_t k = 1; k <= n / 4; ++k) {
+    grid[k] = noise[k];
+    grid[n - k] = noise[n - k];
+  }
+  grid[n / 2] = Cf(-0.0f, -0.0f);
+  out.push_back(grid);
+  return out;
+}
+
+TEST(FftExactness, OutOfPlaceMatchesScheduleAtEveryTierAndSize) {
+  // n = 2..4096 covers the sizes below every tier's minimum block (the
+  // fall-back path) and several AVX-512 block counts. The input ends at
+  // a guard page and canaries sit on both sides of the output, so a
+  // kernel that reads past its input or writes outside its output fails.
+  constexpr std::size_t kCanary = 16;
+  const Cf canary(std::numeric_limits<float>::quiet_NaN(), -1234.5f);
+  for (std::size_t n = 2; n <= 4096; n <<= 1) {
+    const FftPlan plan(n);
+    test::GuardedBuffer<Cf> in(n);
+    for (const auto& input : exactness_inputs(n)) {
+      std::copy(input.begin(), input.end(), in.span().begin());
+      for (const bool inverse : {false, true}) {
+        const auto want = schedule_reference(input, inverse);
+        for (const IsaLevel isa : tiers()) {
+          std::vector<Cf> buf(n + 2 * kCanary, canary);
+          const std::span<Cf> out(buf.data() + kCanary, n);
+          if (inverse) {
+            plan.inverse(in.span(), out, isa);
+          } else {
+            plan.forward(in.span(), out, isa);
+          }
+          ASSERT_EQ(0, std::memcmp(out.data(), want.data(), n * sizeof(Cf)))
+              << (inverse ? "inverse" : "forward") << " n=" << n
+              << " isa=" << isa_name(isa);
+          for (std::size_t i = 0; i < kCanary; ++i) {
+            ASSERT_EQ(0, std::memcmp(&buf[i], &canary, sizeof(Cf)))
+                << "write before output n=" << n << " isa=" << isa_name(isa);
+            ASSERT_EQ(0, std::memcmp(&buf[kCanary + n + i], &canary,
+                                     sizeof(Cf)))
+                << "write past output n=" << n << " isa=" << isa_name(isa);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FftExactness, InPlaceWrapperMatchesOutOfPlace) {
+  const std::size_t n = 512;
+  const auto input = random_signal(n, 0x0FE3u);
+  const FftPlan plan(n);
+  for (const IsaLevel isa : tiers()) {
+    std::vector<Cf> want(n);
+    plan.inverse(input, want, isa);
+    auto data = input;
+    plan.inverse(data, isa);
+    ASSERT_EQ(0, std::memcmp(data.data(), want.data(), n * sizeof(Cf)))
+        << "isa=" << isa_name(isa);
+  }
+  std::vector<Cf> data(n);
+  EXPECT_THROW(plan.forward(std::span<const Cf>(data).subspan(1, n - 1),
+                            std::span<Cf>(data).first(n - 1), IsaLevel::kScalar),
+               std::invalid_argument);
+  EXPECT_THROW(plan.forward(data, data, IsaLevel::kScalar),
+               std::invalid_argument);
 }
 
 TEST(FftExactness, RunToRunBitStablePerTier) {
@@ -338,6 +469,63 @@ TEST(OfdmSimd, DemodulateIntoMatchesDemodulatePartialFinalSymbol) {
     ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
                              n_res * sizeof(IqSample)))
         << "isa=" << isa_name(isa);
+  }
+}
+
+TEST(OfdmSimd, DemodulateIntoReadsNoFurtherThanTheLastSymbol) {
+  // The FFT reads each symbol in place after its cyclic prefix; the last
+  // symbol ends at a guard page.
+  OfdmConfig cfg;
+  const std::size_t cap = static_cast<std::size_t>(cfg.used_subcarriers);
+  const std::size_t samples =
+      static_cast<std::size_t>(ofdm_symbol_samples(cfg));
+  const auto res = random_res(12 * cap, 0x0FE4u);
+  for (const IsaLevel isa : tiers()) {
+    const OfdmModulator ofdm(cfg, isa);
+    const auto time = ofdm.modulate(res);
+    ASSERT_EQ(time.size(), 12 * samples);
+    test::GuardedBuffer<Cf> guarded(time.size());
+    std::copy(time.begin(), time.end(), guarded.span().begin());
+    for (const std::size_t n_res : {12 * cap, 12 * cap - 5, 11 * cap + 1}) {
+      const auto want = ofdm.demodulate(time, n_res);
+      std::vector<IqSample> got(n_res);
+      std::vector<Cf> scratch(static_cast<std::size_t>(cfg.nfft));
+      ofdm.demodulate_into(guarded.span(), got, scratch);
+      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                               n_res * sizeof(IqSample)))
+          << "isa=" << isa_name(isa) << " res " << n_res;
+    }
+  }
+}
+
+TEST(OfdmSimd, ModulateIntoReusedBufferMatchesModulate) {
+  // One buffer across growing and shrinking symbol counts, with partial
+  // final symbols; each result must equal modulate() and modulate() of
+  // the REs zero-padded to whole symbols.
+  OfdmConfig cfg;
+  const std::size_t cap = static_cast<std::size_t>(cfg.used_subcarriers);
+  const auto res = random_res(12 * cap, 0x0FE5u);
+  const std::size_t counts[] = {3 * cap,      12 * cap - 7, cap, 1,
+                                cap / 2 + 3,  0,            5 * cap + 3,
+                                12 * cap,     2 * cap - 1};
+  for (const IsaLevel isa : tiers()) {
+    const OfdmModulator ofdm(cfg, isa);
+    std::vector<Cf> buf;
+    for (const std::size_t count : counts) {
+      const std::span<const IqSample> part(res.data(), count);
+      ofdm.modulate_into(part, buf);
+      const auto want = ofdm.modulate(part);
+      ASSERT_EQ(buf.size(), want.size());
+      ASSERT_EQ(0, std::memcmp(buf.data(), want.data(),
+                               want.size() * sizeof(Cf)))
+          << "isa=" << isa_name(isa) << " res " << count;
+      std::vector<IqSample> padded(part.begin(), part.end());
+      padded.resize((count + cap - 1) / cap * cap, IqSample{});
+      const auto want_padded = ofdm.modulate(padded);
+      ASSERT_EQ(0, std::memcmp(buf.data(), want_padded.data(),
+                               want.size() * sizeof(Cf)))
+          << "padded isa=" << isa_name(isa) << " res " << count;
+    }
   }
 }
 

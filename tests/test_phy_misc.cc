@@ -8,9 +8,6 @@
 #include <span>
 #include <stdexcept>
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include "common/rng.h"
 #include "phy/channel/channel.h"
 #include "phy/dci/dci.h"
@@ -20,6 +17,7 @@
 #include "phy/scramble/scrambler.h"
 #include "phy/segmentation/segmentation.h"
 #include "phy/turbo/qpp_interleaver.h"
+#include "guard_page.h"
 
 namespace vran::phy {
 namespace {
@@ -128,35 +126,6 @@ TEST(Modulation, SoftLlrSignsMatchBitsNoiseless) {
   }
 }
 
-/// Bytes that end exactly where a PROT_NONE page starts, so any read
-/// past the last byte faults.
-class GuardedBytes {
- public:
-  explicit GuardedBytes(std::size_t n)
-      : n_(n),
-        page_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))),
-        map_(mmap(nullptr, 2 * page_, PROT_READ | PROT_WRITE,
-                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)) {
-    if (map_ == MAP_FAILED) throw std::runtime_error("mmap failed");
-    if (mprotect(static_cast<char*>(map_) + page_, page_, PROT_NONE) != 0) {
-      munmap(map_, 2 * page_);
-      throw std::runtime_error("mprotect failed");
-    }
-  }
-  ~GuardedBytes() { munmap(map_, 2 * page_); }
-  GuardedBytes(const GuardedBytes&) = delete;
-  GuardedBytes& operator=(const GuardedBytes&) = delete;
-
-  std::span<std::uint8_t> bytes() {
-    return {static_cast<std::uint8_t*>(map_) + page_ - n_, n_};
-  }
-
- private:
-  std::size_t n_;
-  std::size_t page_;
-  void* map_;
-};
-
 TEST(Modulation, MatchesPerBitReferenceAtEverySymbolCount) {
   // Covers inputs shorter than the 8-byte window, the windowed symbols
   // and the per-bit tail. Input bytes carry junk above bit 0, which the
@@ -166,14 +135,14 @@ TEST(Modulation, MatchesPerBitReferenceAtEverySymbolCount) {
     const auto bps = static_cast<std::size_t>(bits_per_symbol(m));
     const auto table = constellation(m);
     for (std::size_t n_sym = 1; n_sym <= 40; ++n_sym) {
-      GuardedBytes in(n_sym * bps);
-      for (auto& b : in.bytes()) b = static_cast<std::uint8_t>(rng.next());
-      const auto sym = modulate(in.bytes(), m);
+      test::GuardedBuffer<std::uint8_t> in(n_sym * bps);
+      for (auto& b : in.span()) b = static_cast<std::uint8_t>(rng.next());
+      const auto sym = modulate(in.span(), m);
       ASSERT_EQ(sym.size(), n_sym);
       for (std::size_t s = 0; s < n_sym; ++s) {
         std::size_t g = 0;
         for (std::size_t b = 0; b < bps; ++b) {
-          g = (g << 1) | (in.bytes()[s * bps + b] & 1u);
+          g = (g << 1) | (in.span()[s * bps + b] & 1u);
         }
         EXPECT_EQ(sym[s], table[g])
             << modulation_name(m) << " symbols " << n_sym << " at " << s;

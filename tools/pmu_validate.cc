@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     if (isa > best_isa()) continue;
     rows.push_back({"ofdm_rx", isa, trace_ofdm(isa, 512, 4),
                     bench::hw::wl_ofdm_rx(isa, 512, 4)});
-    rows.push_back({"ofdm_tx", isa, trace_ofdm(isa, 512, 4),
+    rows.push_back({"ofdm_tx", isa, trace_ofdm(isa, 512, 4, true),
                     bench::hw::wl_ofdm_tx(isa, 512, 4)});
   }
   // Receive front per tier, scalar route included.
