@@ -292,6 +292,7 @@ class DownlinkPipeline {
   PipelineWorkspace ws_;
   std::unique_ptr<DecodeScheduler> sched_;
   std::vector<DecodeJob> jobs_;  ///< decode-front output, reused per TTI
+  std::vector<phy::Cf> tx_time_;  ///< transmit samples, reused per TTI
   std::uint32_t tti_ = 0;
 };
 
